@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from . import classad
-from .classad import AdValue, Integer, ListValue, MatchContext, Text, evaluate
+from .classad import AdValue, Integer, ListValue, Text, attr_value
 from .errors import WmsError
 from .util import append_line, flocked, now_ms, read_json_lines
 
@@ -106,26 +106,17 @@ def load_bootstrap_accounts(path: Path) -> dict[str, Account]:
     accounts: dict[str, Account] = {}
     if not path.exists():
         return accounts
-    ad = classad.parse_ad(path.read_text("utf-8"))
-    listing = ad.get("accounts")
-    if listing is None:
+    value = attr_value(classad.parse_ad(path.read_text("utf-8")), "accounts")
+    if value is None:
         return accounts
-    value = evaluate(listing, MatchContext.solo(ad))
     if not isinstance(value, ListValue):
         raise WmsError(f"{path}: Accounts must be a list of account ads")
     for item in value.items:
         if not isinstance(item, AdValue):
             raise WmsError(f"{path}: each account must be a nested ad")
-        sub = item.ad
-        ctx = MatchContext.solo(sub)
-
-        def attr(name):
-            expr = sub.get(name)
-            return evaluate(expr, ctx) if expr is not None else None
-
-        aid = attr("id")
-        kind = attr("kind")
-        balance = attr("balance")
+        aid = attr_value(item.ad, "id")
+        kind = attr_value(item.ad, "kind")
+        balance = attr_value(item.ad, "balance")
         if not isinstance(aid, Text) or not isinstance(balance, Integer) or balance.value < 0:
             raise WmsError(f"{path}: account needs Id (string) and Balance (integer >= 0)")
         kind_text = kind.value if isinstance(kind, Text) else "User"
@@ -145,7 +136,7 @@ class Ledger:
         )
         self._accounts: dict[str, Account] = {}
         self._entries: list[LedgerEntry] = []
-        self._charged: set[tuple[str, int]] = set()
+        self._charged: dict[tuple[str, int], str] = {}  # (job, attempt) -> first charge entry id
         self._size = 0
         self._replay()
 
@@ -155,7 +146,7 @@ class Ledger:
     def _replay(self) -> None:
         self._accounts = {aid: Account(a.id, a.kind, a.balance) for aid, a in self._bootstrap.items()}
         self._entries = []
-        self._charged = set()
+        self._charged = {}
         for obj in read_json_lines(self.path):
             try:
                 entry = LedgerEntry.from_dict(obj)
@@ -182,7 +173,7 @@ class Ledger:
         self._accounts[entry.dst].balance += entry.amount
         self._entries.append(entry)
         if entry.kind in (KIND_CHARGE, KIND_DEFICIT) and entry.job_id is not None:
-            self._charged.add((entry.job_id, entry.attempt or 1))
+            self._charged.setdefault((entry.job_id, entry.attempt or 1), entry.entry_id)
 
     def _ensure(self, account_id: str, kind: str = "User") -> Account:
         acct = self._accounts.get(account_id)
@@ -242,12 +233,9 @@ class Ledger:
         """
         with self._lock():
             self._refresh()
-            for entry in self._entries:
-                if entry.job_id == job_id and (entry.attempt or 1) == attempt and entry.kind in (
-                    KIND_CHARGE,
-                    KIND_DEFICIT,
-                ):
-                    return entry.entry_id
+            charged = self._charged.get((job_id, attempt))
+            if charged is not None:
+                return charged
             user = self._ensure(user_account, "User")
             self._ensure(owner_group, "Group")
             cost = job_cost(cpu_seconds, price_per_cpu_second)

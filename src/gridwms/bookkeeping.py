@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -104,7 +105,7 @@ class BadQueryError(WmsError):
     code = "BadQuery"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Event:
     job: str
     source: str
@@ -112,25 +113,13 @@ class Event:
     ts: int
     kind: str
     payload: dict[str, str]
+    _key: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown event source {self.source!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        # content-only sort key, precomputed because state derivation over
-        # large event sets is a hot path
-        key = (
-            self.ts,
-            self.source,
-            self.sseq,
-            self.kind,
-            json.dumps(self.payload, sort_keys=True, separators=(",", ":")),
-        )
-        object.__setattr__(self, "_key", key)
-
-    def sort_key(self):
-        return self._key  # type: ignore[attr-defined]
 
     def as_dict(self) -> dict:
         return {
@@ -144,18 +133,32 @@ class Event:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Event":
+        # A store caches every job it reads, and events repeat the same
+        # strings (job id, source, kind, payload keys, destinations):
+        # interned, each is held once.
         return cls(
-            job=str(obj["job"]),
-            source=str(obj["src"]),
+            job=sys.intern(str(obj["job"])),
+            source=sys.intern(str(obj["src"])),
             sseq=int(obj["sseq"]),
             ts=int(obj["ts"]),
-            kind=str(obj["kind"]),
-            payload={str(k): str(v) for k, v in dict(obj.get("payload") or {}).items()},
+            kind=sys.intern(str(obj["kind"])),
+            payload={
+                sys.intern(str(k)): sys.intern(str(v)) for k, v in dict(obj.get("payload") or {}).items()
+            },
         )
 
 
-def _event_key(ev: Event):
-    return ev._key  # type: ignore[attr-defined]
+def _content_key(ev: Event) -> tuple:
+    """Canonical order of events, from their content alone."""
+    return (ev.ts, ev.source, ev.sseq, ev.kind, json.dumps(ev.payload, sort_keys=True, separators=(",", ":")))
+
+
+def _event_key(ev: Event) -> tuple:
+    # kept on the event, because state derivation over large event sets
+    # is a hot path; the store's cached events are kept sorted instead
+    if ev._key is None:
+        object.__setattr__(ev, "_key", _content_key(ev))
+    return ev._key
 
 
 def derive_state(events: Iterable[Event]) -> tuple[JobState, int]:
@@ -165,7 +168,10 @@ def derive_state(events: Iterable[Event]) -> tuple[JobState, int]:
     yields the same result.  Cleared is absorbing; a Resubmitted event
     opens a new attempt whose baseline is WAITING.
     """
-    ordered = sorted(events, key=_event_key)
+    return _derive_ordered(sorted(events, key=_event_key))
+
+
+def _derive_ordered(ordered: list[Event]) -> tuple[JobState, int]:
     attempt = 1
     seg_start = 0
     cleared = False
@@ -210,9 +216,6 @@ class JobRecord:
     user_tags: dict[str, str]
     checkpoint_states: list[tuple[int, list[tuple[str, str]]]]
     events: list[Event] = field(default_factory=list)
-
-    def latest_checkpoint(self) -> tuple[int, list[tuple[str, str]]] | None:
-        return self.checkpoint_states[-1] if self.checkpoint_states else None
 
 
 @dataclass(frozen=True)
@@ -298,19 +301,20 @@ class BookkeepingStore:
                 events.append(Event.from_dict(json.loads(line.decode("utf-8"))))
             except (ValueError, KeyError, UnicodeDecodeError):
                 continue  # partial or corrupt line: skip
+        events.sort(key=_content_key)
         self._cache[job_id] = (size, events)
         return events
 
     def events_of(self, job_id: str) -> list[Event]:
+        """A job's events in canonical order."""
         events = self._load_events(job_id)
         if not events:
             raise UnknownJobError(f"job {job_id} is not registered")
         return list(events)
 
     def job_record(self, job_id: str) -> JobRecord:
-        events = self.events_of(job_id)
-        ordered = sorted(events, key=_event_key)
-        state, attempt = derive_state(ordered)
+        ordered = self.events_of(job_id)
+        state, attempt = _derive_ordered(ordered)
 
         owner, jdl = "", ""
         for ev in ordered:
@@ -419,7 +423,7 @@ class BookkeepingStore:
         pair_list = [(str(k), str(v)) for k, v in pairs]
         with flocked(self._lock_for(job_id)):
             events = self._load_events(job_id)
-            state, _ = derive_state(events)
+            state, _ = _derive_ordered(events)
             if state == JobState.CLEARED:
                 raise UnknownJobError(f"job {job_id} is cleared")
             seqs = []

@@ -13,6 +13,7 @@ import logging
 import os
 import random
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -25,6 +26,7 @@ from .classad import (
     Literal,
     MatchContext,
     Text,
+    attr_value,
     evaluate,
     match_two,
     rank_of,
@@ -93,44 +95,37 @@ def _strategy_fuzzy(candidates: list[Candidate], seed: int | None, ratio: float 
     return eligible[rng.randrange(len(eligible))]
 
 
-def _read_ad_attr(ad: ClassAd, name: str):
-    expr = ad.get(name)
-    if expr is None:
-        return None
-    return evaluate(expr, MatchContext.solo(ad))
-
-
 def validate_resource_ad(ad: ClassAd) -> tuple[str, str]:
     """Check ResourceAd conventions; returns (id, type) or raises InvalidAd."""
     problems: list[str] = []
-    rid = _read_ad_attr(ad, "id")
+    rid = attr_value(ad, "id")
     if not isinstance(rid, Text) or not rid.value:
         problems.append("Id must be a non-empty string")
         rid = None
-    rtype = _read_ad_attr(ad, "type")
+    rtype = attr_value(ad, "type")
     if not isinstance(rtype, Text) or rtype.value.upper() not in ("CE", "SE"):
         problems.append('Type must be "CE" or "SE"')
         rtype = None
     if rtype is not None and rtype.value.upper() == "CE":
-        free = _read_ad_attr(ad, "freecpus")
-        total = _read_ad_attr(ad, "totalcpus")
+        free = attr_value(ad, "freecpus")
+        total = attr_value(ad, "totalcpus")
         if not isinstance(free, Integer) or free.value < 0:
             problems.append("FreeCPUs must be an integer >= 0")
         if not isinstance(total, Integer) or total.value < 1:
             problems.append("TotalCPUs must be an integer >= 1")
         if isinstance(free, Integer) and isinstance(total, Integer) and free.value > total.value:
             problems.append("FreeCPUs must be <= TotalCPUs")
-        status = _read_ad_attr(ad, "status")
+        status = attr_value(ad, "status")
         if status is not None and not isinstance(status, Text):
             problems.append("Status must be a string")
-        close = _read_ad_attr(ad, "closeses")
+        close = attr_value(ad, "closeses")
         if close is not None and not isinstance(close, ListValue):
             problems.append("CloseSEs must be a list")
-        price = _read_ad_attr(ad, "pricepercpusecond")
+        price = attr_value(ad, "pricepercpusecond")
         if price is not None and (not isinstance(price, Integer) or price.value < 0):
             problems.append("PricePerCpuSecond must be an integer >= 0")
     if rtype is not None and rtype.value.upper() == "SE":
-        space = _read_ad_attr(ad, "availablespace")
+        space = attr_value(ad, "availablespace")
         if not isinstance(space, Integer) or space.value < 0:
             problems.append("AvailableSpace must be an integer >= 0 (MB)")
     if problems:
@@ -138,20 +133,38 @@ def validate_resource_ad(ad: ClassAd) -> tuple[str, str]:
     return rid.value, rtype.value.upper()
 
 
+# A parse taken less than this long after the file last changed may have
+# missed a same-size rewrite within one timestamp tick (git's "racily
+# clean" case), so it is parsed again on the next snapshot.
+RACY_MARGIN_NS = 100_000_000
+
+
+@dataclass(frozen=True)
+class _ParsedFile:
+    stat_key: tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
+    trusted: bool
+    resource: tuple[str, str, ClassAd] | None  # (id, type, ad); None when rejected
+
+
 class ResourceRegistry:
     """Information registry fed by fixture files, live heartbeat files,
-    and direct upserts.
+    and direct upserts; the only reader of resource `.ad` files.
 
     Heartbeat files (written by the executor) carry their mtime as the
     entry's last update; a static fixture without a heartbeat is treated
     as fresh configuration.  When a heartbeat exists it governs: a stale
     heartbeat means the resource is genuinely not reporting.
+
+    Each file's last parse, rejections included, is reused until its
+    stat key changes, except a parse made within RACY_MARGIN_NS of the
+    file's ctime.
     """
 
     def __init__(self, static_dir: Path | str | None = None, live_dir: Path | str | None = None):
         self.static_dir = Path(static_dir) if static_dir else None
         self.live_dir = Path(live_dir) if live_dir else None
         self._manual: dict[str, ResourceEntry] = {}
+        self._parsed: dict[Path, _ParsedFile] = {}
         self._lock = threading.Lock()
 
     def upsert(self, ad: ClassAd, last_update_ms: int | None = None) -> None:
@@ -160,7 +173,27 @@ class ResourceRegistry:
         with self._lock:
             self._manual[rid] = entry
 
-    def _scan_dir(self, directory: Path | None, mtime_as_update: bool) -> dict[str, ResourceEntry]:
+    def _parse_file(self, path: Path) -> _ParsedFile:
+        started = time.time_ns()
+        previous = self._parsed.get(path)
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            stat_key = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+            if previous is not None and previous.trusted and previous.stat_key == stat_key:
+                return previous
+            data = fh.read()
+        try:
+            ad = classad.parse_ad(data.decode("utf-8"))
+            resource = (*validate_resource_ad(ad), ad)
+        except (WmsError, UnicodeDecodeError) as exc:
+            if previous is None or previous.stat_key != stat_key or previous.resource is not None:
+                log.warning("ignoring resource file %s: %s", path, exc)
+            resource = None
+        return _ParsedFile(stat_key, started - st.st_ctime_ns >= RACY_MARGIN_NS, resource)
+
+    def _scan_dir(
+        self, directory: Path | None, parsed_now: dict[Path, _ParsedFile], mtime_as_update: bool
+    ) -> dict[str, ResourceEntry]:
         out: dict[str, ResourceEntry] = {}
         if directory is None or not directory.is_dir():
             return out
@@ -170,22 +203,26 @@ class ResourceRegistry:
                 continue
             path = directory / entry
             try:
-                ad = classad.parse_ad(path.read_text("utf-8"))
-                rid, rtype = validate_resource_ad(ad)
-                update = int(path.stat().st_mtime * 1000) if mtime_as_update else scan_time
-            except (OSError, WmsError) as exc:
+                parsed = self._parse_file(path)
+            except OSError as exc:
                 log.warning("ignoring resource file %s: %s", path, exc)
                 continue
+            parsed_now[path] = parsed
+            if parsed.resource is None:
+                continue
+            rid, rtype, ad = parsed.resource
+            update = parsed.stat_key[2] // 1_000_000 if mtime_as_update else scan_time
             out[rid] = ResourceEntry(id=rid, type=rtype, ad=ad, last_update_ms=update)
         return out
 
     def snapshot(self) -> dict[str, ResourceEntry]:
         """Merged view: static fixtures fill gaps; live heartbeats and
         upserts override, newest information winning."""
-        entries = self._scan_dir(self.static_dir, mtime_as_update=False)
-        for rid, entry in self._scan_dir(self.live_dir, mtime_as_update=True).items():
-            entries[rid] = entry
         with self._lock:
+            parsed_now: dict[Path, _ParsedFile] = {}
+            entries = self._scan_dir(self.static_dir, parsed_now, mtime_as_update=False)
+            entries.update(self._scan_dir(self.live_dir, parsed_now, mtime_as_update=True))
+            self._parsed = parsed_now  # rebuilt from this listing: deleted files drop out
             for rid, entry in self._manual.items():
                 current = entries.get(rid)
                 if current is None or current.last_update_ms <= entry.last_update_ms:
@@ -277,7 +314,7 @@ class Broker:
         ses = {e.id: e for e in self._fresh("SE")}
         out: list[Candidate] = []
         for ce in ces:
-            close = _read_ad_attr(ce.ad, "closeses")
+            close = attr_value(ce.ad, "closeses")
             if not isinstance(close, ListValue):
                 continue
             close_ids = [t.value for t in close.items if isinstance(t, Text)]

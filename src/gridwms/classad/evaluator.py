@@ -59,6 +59,12 @@ def evaluate(expr: Expr, ctx: MatchContext) -> Value:
     return _Evaluator(ctx).eval(expr, ctx)
 
 
+def attr_value(ad: ClassAd, name: str) -> Value | None:
+    """Evaluate attribute `name` of `ad` on its own; None when absent."""
+    expr = ad.get(name)
+    return None if expr is None else evaluate(expr, MatchContext.solo(ad))
+
+
 class _Evaluator:
     __slots__ = ("active", "depth")
 

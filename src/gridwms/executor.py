@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import classad
-from .broker import validate_resource_ad
-from .classad import Integer, MatchContext, evaluate
+from .broker import ResourceRegistry
+from .classad import Integer, attr_value
 from .errors import WmsError
 from .faults import crash_point
 from .filequeue import ACK, FileQueue
@@ -158,25 +158,12 @@ class ExecutorService:
     # -- setup / recovery -------------------------------------------------
 
     def _load_ces(self, resources_dir: Path) -> None:
-        if not resources_dir.is_dir():
-            return
-        for entry in sorted(os.listdir(resources_dir)):
-            if not entry.endswith(".ad"):
+        for rid, entry in ResourceRegistry(static_dir=resources_dir).snapshot().items():
+            if entry.type != "CE":
                 continue
-            try:
-                ad = classad.parse_ad((resources_dir / entry).read_text("utf-8"))
-                rid, rtype = validate_resource_ad(ad)
-            except WmsError as exc:
-                log.warning("skipping resource file %s: %s", entry, exc)
-                continue
-            if rtype != "CE":
-                continue
-            ctx = MatchContext.solo(ad)
-            slots_expr = ad.get("slots") or ad.get("totalcpus")
-            slots_val = evaluate(slots_expr, ctx) if slots_expr else None
-            slots = slots_val.value if isinstance(slots_val, Integer) else 1
-            self.ces[rid] = SimCE(ce_id=rid, slots=max(1, slots))
-            self._ce_ads[rid] = ad
+            slots = attr_value(entry.ad, "slots") or attr_value(entry.ad, "totalcpus")
+            self.ces[rid] = SimCE(ce_id=rid, slots=max(1, slots.value if isinstance(slots, Integer) else 1))
+            self._ce_ads[rid] = entry.ad
 
     def _staged_path(self, handle: str) -> Path:
         return self.spool.executor_staged / f"{handle}.json"
@@ -467,21 +454,6 @@ class ExecutorService:
             busy = self.tick()
             if not busy:
                 time.sleep(poll)
-
-    def wait_idle(self, timeout: float = 30.0) -> bool:
-        """Run ticks until no job is mid-flight (test convenience)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            self.tick()
-            pending = self.queue.pending_count()
-            active = any(
-                (j.committed and not j.terminal) or (not j.committed and not j.terminal)
-                for j in self.jobs.values()
-            )
-            if not pending and not active:
-                return True
-            time.sleep(0.02)
-        return False
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,6 @@ import socketserver
 import threading
 from pathlib import Path
 
-from . import classad
 from .accounting import Ledger
 from .bookkeeping import (
     TERMINAL_STATES,
@@ -41,7 +40,7 @@ from .broker import ResourceRegistry
 from .errors import UnauthorizedError, UnknownJobError, WmsError
 from .faults import crash_point
 from .filequeue import FileQueue
-from .jdl import validate_dag, validate_job
+from .jdl import DagDescription, validate_dag, validate_description, validate_job
 from .layout import SpoolLayout
 from .util import fsync_dir, now_ms, random_suffix
 
@@ -96,19 +95,6 @@ class GatewayCore:
         if record.owner != user:
             raise UnauthorizedError(f"job {record.job} belongs to {record.owner!r}")
 
-    def _declared_inputs(self, jdl: str) -> list[str]:
-        ad = classad.parse_ad(jdl)
-        type_attr = ad.get("type")
-        if type_attr is not None:
-            value = classad.evaluate(type_attr, classad.MatchContext.solo(ad))
-            if isinstance(value, classad.Text) and value.value.lower() == "dag":
-                dag = validate_dag(ad)
-                names: list[str] = []
-                for node, jd in dag.nodes.items():
-                    names.extend(f"{node.lower()}/{name}" for name in jd.input_sandbox)
-                return names
-        return list(validate_job(ad).input_sandbox)
-
     def _maybe_release(self, job_id: str) -> bool:
         """Enqueue the held request once every declared input file exists.
 
@@ -120,11 +106,10 @@ class GatewayCore:
         if record.state not in (JobState.SUBMITTED, JobState.WAITING):
             return False
         try:
-            names = self._declared_inputs(record.jdl)
+            desc = validate_description(record.jdl)
         except WmsError:
             return False
-        input_dir = self.spool.input_dir(job_id)
-        if any(not (input_dir / name).is_file() for name in names):
+        if not self.spool.inputs_complete(job_id, desc.input_sandbox):
             return False
         for _seq, _state, payload in self.requests.iter_items():
             try:
@@ -132,14 +117,9 @@ class GatewayCore:
                     return False  # already enqueued
             except (ValueError, UnicodeDecodeError):
                 continue
-        ad = classad.parse_ad(record.jdl)
-        type_value = None
-        if ad.get("type") is not None:
-            type_value = classad.evaluate(ad.get("type"), classad.MatchContext.solo(ad))
-        is_dag = isinstance(type_value, classad.Text) and type_value.value.lower() == "dag"
         self.requests.enqueue(
             {
-                "kind": "submit_dag" if is_dag else "submit",
+                "kind": "submit_dag" if isinstance(desc, DagDescription) else "submit",
                 "job": job_id,
                 "owner": record.owner,
                 "jdl": record.jdl,
@@ -172,10 +152,10 @@ class GatewayCore:
         return handler(user, args)
 
     def _register(self, user: str, jdl_text: str, user_tags: dict[str, str] | None = None) -> str:
+        registered = {"jdl": jdl_text, "owner": user}
         job_id = new_job_id()
-        self.lb.log_event(
-            Event(job_id, "Gateway", 1, now_ms(), "Registered", {"jdl": jdl_text, "owner": user})
-        )
+        while not self.lb.log_event(Event(job_id, "Gateway", 1, now_ms(), "Registered", registered)):
+            job_id = new_job_id()  # the id is another job's: draw again
         crash_point("gateway.after_register")
         self.lb.log_event(Event(job_id, "Gateway", 2, now_ms(), "Accepted", {}))
         for i, (name, value) in enumerate(sorted((user_tags or {}).items())):
@@ -205,7 +185,7 @@ class GatewayCore:
             raise BadRequestError("submit-dag needs a 'jdl' string")
         dag = validate_dag(jdl_text)
         job_id = self._register(user, dag.to_jdl())
-        held = any(jd.input_sandbox for jd in dag.nodes.values())
+        held = bool(dag.input_sandbox)
         if not held:
             self._maybe_release(job_id)
         return {"job": job_id, "held_for_sandbox": held}
@@ -319,8 +299,7 @@ class GatewayCore:
         eof = bool(args.get("eof"))
         if not name or name.startswith("/") or ".." in Path(name).parts:
             raise BadRequestError(f"bad file name {name!r}")
-        declared = self._declared_inputs(record.jdl)
-        if name not in declared:
+        if name not in validate_description(record.jdl).input_sandbox:
             raise UnknownFileError(f"{name!r} is not in the declared input sandbox")
         try:
             data = base64.b64decode(args.get("data", ""), validate=True)

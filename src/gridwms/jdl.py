@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import classad
-from .classad import ClassAd, Expr, ListValue, MatchContext, SubAd, Text, evaluate
+from .classad import ClassAd, Expr, ListValue, SubAd, Text, attr_value
 from .errors import WmsError
 
 DEFAULT_RANK = "other.FreeCPUs"
@@ -106,11 +106,13 @@ class DagDescription:
     def to_jdl(self) -> str:
         return self.ad.unparse()
 
+    @property
+    def input_sandbox(self) -> list[str]:
+        """Every node's input files, each under its node's lower-cased name."""
+        return [f"{node.lower()}/{name}" for node, jd in self.nodes.items() for name in jd.input_sandbox]
+
     def parents_of(self, node: str) -> list[str]:
         return [p for p, c in self.dependencies if c == node]
-
-    def children_of(self, node: str) -> list[str]:
-        return [c for p, c in self.dependencies if p == node]
 
 
 class _Reader:
@@ -119,17 +121,13 @@ class _Reader:
 
     def __init__(self, ad: ClassAd):
         self.ad = ad
-        self.ctx = MatchContext.solo(ad)
         self.violations: list[Violation] = []
 
     def bad(self, code: str, attribute: str, message: str) -> None:
         self.violations.append(Violation(code, attribute, message))
 
     def value(self, name: str):
-        expr = self.ad.get(name)
-        if expr is None:
-            return None
-        return evaluate(expr, self.ctx)
+        return attr_value(self.ad, name)
 
     def text(self, name: str) -> str | None:
         v = self.value(name)
@@ -410,3 +408,13 @@ def validate_dag(ad_or_text: ClassAd | str) -> DagDescription:
         raise ValidationError(reader.violations)
 
     return DagDescription(ad=ad, nodes=nodes, dependencies=dependencies, aggregator_node=aggregator)
+
+
+def validate_description(ad_or_text: ClassAd | str) -> JobDescription | DagDescription:
+    """Validate a DAG ad (Type = "DAG") or else a job ad: the one place
+    that decides whether a description is a DAG."""
+    ad = classad.parse_ad(ad_or_text) if isinstance(ad_or_text, str) else ad_or_text
+    kind = attr_value(ad, "type")
+    if isinstance(kind, Text) and kind.value.lower() == "dag":
+        return validate_dag(ad)
+    return validate_job(ad)

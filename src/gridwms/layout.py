@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,6 @@ class SpoolLayout:
         return self.root / "lbstore"
 
     @property
-    def executor_dir(self) -> Path:
-        return self.root / "executor"
-
-    @property
     def executor_staged(self) -> Path:
         return self.root / "executor" / "staged"
 
@@ -58,6 +55,19 @@ class SpoolLayout:
 
     def input_dir(self, job_id: str) -> Path:
         return self.root / "input" / job_id
+
+    def input_file(self, job_id: str, name: str, prefix: str | None = None) -> Path | None:
+        """An uploaded input sandbox file: under `prefix` (a DAG node's
+        name) first when given, then at the top; None when absent."""
+        base = self.input_dir(job_id)
+        for path in ([base / prefix / name] if prefix else []) + [base / name]:
+            if path.is_file():
+                return path
+        return None
+
+    def inputs_complete(self, job_id: str, names: Iterable[str], prefix: str | None = None) -> bool:
+        """True once every declared input file has been uploaded."""
+        return all(self.input_file(job_id, name, prefix) for name in names)
 
     def output_dir(self, job_id: str) -> Path:
         return self.root / "output" / job_id

@@ -32,11 +32,11 @@ from .bookkeeping import (
     JobState,
 )
 from .broker import Broker, NoMatchingResourcesError, ResourceRegistry
-from .classad import Integer, ListExpr, Literal, MatchContext, Text
+from .classad import Integer, ListExpr, Literal, Text, attr_value
 from .errors import UnknownJobError, WmsError
 from .faults import crash_point
 from .filequeue import ACK, NACK, FileQueue, QueueItem
-from .jdl import DagDescription, ValidationError, Violation, validate_dag, validate_job
+from .jdl import DagDescription, ValidationError, Violation, validate_dag, validate_description, validate_job
 from .layout import SpoolLayout
 from .partition import partition_job
 from .submission import SubmissionDescriptor, WrapperPlan
@@ -119,10 +119,9 @@ class JobAdapter:
         if extra_env:
             env.update(extra_env)
 
-        source_job = sandbox_source or job_id
         inputs = []
         for name in jd.input_sandbox:
-            source = self._locate_input(source_job, sandbox_prefix, name)
+            source = self.spool.input_file(sandbox_source or job_id, name, sandbox_prefix)
             if source is None:
                 raise MissingSandboxFileError(f"input sandbox file {name!r} not found in spool")
             inputs.append({"name": name, "source": str(source)})
@@ -147,17 +146,6 @@ class JobAdapter:
             plan=plan,
             owner=owner,
         )
-
-    def _locate_input(self, source_job: str, prefix: str | None, name: str) -> Path | None:
-        base = self.spool.input_dir(source_job)
-        candidates = []
-        if prefix:
-            candidates.append(base / prefix / name)
-        candidates.append(base / name)
-        for candidate in candidates:
-            if candidate.is_file():
-                return candidate
-        return None
 
 
 class WorkloadManager:
@@ -476,13 +464,11 @@ class WorkloadManager:
         dag: DagDescription | None = None
         if record.jdl:
             try:
-                ad = classad.parse_ad(record.jdl)
-                if (_ad_text(ad, "type") or "").lower() == "dag":
-                    dag = validate_dag(ad)
-                else:
-                    jd = validate_job(ad)
-                    if jd.job_type == "Partitionable":
-                        dag = partition_job(jd)
+                desc = validate_description(record.jdl)
+                if isinstance(desc, DagDescription):
+                    dag = desc
+                elif desc.job_type == "Partitionable":
+                    dag = partition_job(desc)
             except WmsError:
                 dag = None
         self._dag_cache[job_id] = dag
@@ -497,6 +483,12 @@ class WorkloadManager:
             dag = self._dag_for(job_id, record)
             if dag is None:
                 continue
+            held = any(
+                not self.spool.inputs_complete(job_id, jd.input_sandbox, name.lower())
+                for name, jd in dag.nodes.items()
+            )
+            if held:
+                continue  # the gateway holds it until its input sandbox is uploaded
             stepped += self._step_dag(job_id, record, dag)
         return stepped
 
@@ -648,9 +640,9 @@ class WorkloadManager:
             entry = self.registry.get(record.destination)
             if entry is None:
                 continue  # resource not visible yet; retry next scan
-            price = _ad_int(entry.ad, "pricepercpusecond")
-            group = _ad_text(entry.ad, "ownergroup")
-            if price is None or not group:
+            price = attr_value(entry.ad, "pricepercpusecond")
+            group = attr_value(entry.ad, "ownergroup")
+            if not isinstance(price, Integer) or not isinstance(group, Text) or not group.value:
                 self._uncharged_skip.add(key)
                 continue
             cpu = 0.0
@@ -665,8 +657,8 @@ class WorkloadManager:
                 record.owner or "unknown",
                 record.destination,
                 cpu,
-                price,
-                group,
+                price.value,
+                group.value,
                 attempt=record.attempt,
             )
             charged += 1
@@ -717,9 +709,10 @@ class WorkloadManager:
 
         A job is stuck when it sits in SUBMITTED/WAITING/READY with no
         pending request, no queued descriptor, and no executor staging,
-        and its newest event is older than the threshold.  Rebuilding
-        from queues plus bookkeeping alone is what makes manager crashes
-        harmless.
+        and its newest event is older than the threshold.  A job whose
+        declared input files are not all uploaded yet is held by the
+        gateway, not stuck.  Rebuilding from queues plus bookkeeping alone
+        is what makes manager crashes harmless.
         """
         threshold = self.stuck_after * 1000 if min_age_ms is None else min_age_ms
         now = now_ms()
@@ -739,6 +732,12 @@ class WorkloadManager:
             if job_id in pending:
                 continue
             env, sandbox_source, sandbox_prefix = self._registered_context(record)
+            try:
+                inputs = validate_job(record.jdl).input_sandbox
+            except WmsError:
+                inputs = []
+            if not self.spool.inputs_complete(sandbox_source or job_id, inputs, sandbox_prefix):
+                continue  # the gateway holds it until its input sandbox is uploaded
             self.requests.enqueue(
                 {
                     "kind": "submit",
@@ -792,22 +791,6 @@ class WorkloadManager:
         while stop is None or not stop.is_set():
             if not self.tick():
                 time.sleep(poll)
-
-
-def _ad_int(ad, name: str) -> int | None:
-    expr = ad.get(name)
-    if expr is None:
-        return None
-    value = classad.evaluate(expr, MatchContext.solo(ad))
-    return value.value if isinstance(value, Integer) else None
-
-
-def _ad_text(ad, name: str) -> str | None:
-    expr = ad.get(name)
-    if expr is None:
-        return None
-    value = classad.evaluate(expr, MatchContext.solo(ad))
-    return value.value if isinstance(value, Text) else None
 
 
 def main(argv: list[str] | None = None) -> int:

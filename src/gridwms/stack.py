@@ -51,6 +51,9 @@ class Stack:
             gateway_addr=self.address,
         )
         self.monitor = LogMonitor(self.spool)
+        # the components of one process read the same event files: one
+        # store, so one cache of their events
+        self.manager.lb = self.monitor.store = self.server.core.lb
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
 

@@ -141,6 +141,24 @@ def test_permutation_robustness_small_scale():
             assert derive_state(list(perm)) == expected
 
 
+def test_payload_breaks_ties_on_the_rest_of_the_key():
+    base = seq_events(["Registered", "Accepted"])
+    ok = ev("Done", sseq=7, ts=2000, payload={"exitCode": "0"})
+    failed = ev("Done", sseq=7, ts=2000, payload={"exitCode": "1"})
+    # {"exitCode":"1"} sorts after {"exitCode":"0"}: the failed Done is the later one
+    assert derive_state(base + [ok, failed]) == (JobState.DONE_FAILED, 1)
+    assert derive_state(base + [failed, ok]) == (JobState.DONE_FAILED, 1)
+
+
+def test_store_serves_events_in_canonical_order(tmp_path):
+    store = BookkeepingStore(tmp_path)
+    events = seq_events(["Registered", "Accepted", "Matched", "Running"], job="j1")
+    for event in events[:1] + events[:0:-1]:  # appended newest first
+        store.log_event(event)
+    assert [e.kind for e in store.events_of("j1")] == ["Registered", "Accepted", "Matched", "Running"]
+    assert store.job_record("j1").state == derive_state(events)[0] == JobState.RUNNING
+
+
 def test_derivation_matches_oracle_on_random_sequences():
     rng = random.Random(21)
     for _ in range(300):

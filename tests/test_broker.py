@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import logging
+import os
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,12 +15,13 @@ from gridwms.broker import (
     Broker,
     InvalidAdError,
     NoMatchingResourcesError,
+    RACY_MARGIN_NS,
     ResourceRegistry,
     UnsupportedStrategyError,
 )
 from gridwms.classad import MatchContext, evaluate, match_two, parse_ad, parse_expr
 from gridwms.jdl import validate_job
-from gridwms.util import now_ms
+from gridwms.util import atomic_write_text, now_ms
 
 
 def ce_ad(rid, free=4, total=None, status="Production", close=(), price=2, group="physics", **extra):
@@ -173,6 +178,89 @@ def test_registry_file_sources(tmp_path):
     old = time.time() - 1000
     os.utime(live / "ce1.ad", (old, old))
     assert broker.find_matches(JOB) == []
+
+
+def free_cpus(registry: ResourceRegistry, rid: str = "CE1") -> int:
+    entry = registry.get(rid)
+    return classad.attr_value(entry.ad, "freecpus").value
+
+
+def test_registry_sees_same_size_rewrite_with_old_mtime(tmp_path):
+    path = tmp_path / "ce1.ad"
+    path.write_text(ce_ad("CE1", free=4, total=4).unparse())
+    time.sleep(2 * RACY_MARGIN_NS / 1e9)  # so that the first parse is trusted
+    registry = ResourceRegistry(static_dir=tmp_path)
+    assert free_cpus(registry) == 4
+    before = os.stat(path)
+    with open(path, "r+") as fh:  # in place: same inode, same size
+        fh.write(ce_ad("CE1", free=3, total=4).unparse())
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size
+    assert free_cpus(registry) == 3
+
+
+def test_registry_reparses_racily_clean_file(tmp_path, monkeypatch):
+    """Two versions with one stat key, as within one timestamp tick: a
+    parse made close to the file's ctime is not reused, an old one is."""
+    path = tmp_path / "ce1.ad"
+    path.write_text(ce_ad("CE1", free=4, total=4).unparse())
+    real = os.stat(path)
+    for ctime_ns, expected in ((time.time_ns(), 3), (time.time_ns() - 10 * RACY_MARGIN_NS, 4)):
+        frozen = SimpleNamespace(st_ino=real.st_ino, st_size=real.st_size,
+                                 st_mtime_ns=real.st_mtime_ns, st_ctime_ns=ctime_ns)
+        monkeypatch.setattr("gridwms.broker.os.fstat", lambda fd, frozen=frozen: frozen)
+        path.write_text(ce_ad("CE1", free=4, total=4).unparse())
+        registry = ResourceRegistry(static_dir=tmp_path)
+        assert free_cpus(registry) == 4
+        path.write_text(ce_ad("CE1", free=3, total=4).unparse())
+        assert free_cpus(registry) == expected
+
+
+def test_registry_reuses_parse_of_unchanged_file(tmp_path, monkeypatch):
+    (tmp_path / "ce1.ad").write_text(ce_ad("CE1").unparse())
+    time.sleep(2 * RACY_MARGIN_NS / 1e9)
+    calls = []
+    real_parse = classad.parse_ad
+    monkeypatch.setattr(classad, "parse_ad", lambda text: calls.append(text) or real_parse(text))
+    registry = ResourceRegistry(static_dir=tmp_path)
+    for _ in range(3):
+        assert registry.get("CE1") is not None
+    assert len(calls) == 1
+
+
+def test_registry_sees_rename_over_heartbeat(tmp_path):
+    live = tmp_path / "live"
+    live.mkdir()
+    atomic_write_text(live / "ce1.ad", ce_ad("CE1", free=4, total=4).unparse())
+    time.sleep(2 * RACY_MARGIN_NS / 1e9)
+    registry = ResourceRegistry(live_dir=live)
+    assert free_cpus(registry) == 4
+    atomic_write_text(live / "ce1.ad", ce_ad("CE1", free=2, total=4).unparse())
+    assert free_cpus(registry) == 2
+
+
+def test_registry_drops_deleted_file(tmp_path):
+    (tmp_path / "ce1.ad").write_text(ce_ad("CE1").unparse())
+    (tmp_path / "ce2.ad").write_text(ce_ad("CE2").unparse())
+    registry = ResourceRegistry(static_dir=tmp_path)
+    assert set(registry.snapshot()) == {"CE1", "CE2"}
+    (tmp_path / "ce1.ad").unlink()
+    assert set(registry.snapshot()) == {"CE2"}
+
+
+def test_registry_warns_once_per_invalid_file_version(tmp_path, caplog):
+    bad = tmp_path / "ce9.ad"
+    atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 5; TotalCPUs = 4; ]')
+    registry = ResourceRegistry(live_dir=tmp_path)
+    with caplog.at_level(logging.WARNING, logger="gridwms.broker"):
+        for _ in range(3):
+            assert registry.snapshot() == {}
+        assert len(caplog.records) == 1
+        atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 6; TotalCPUs = 4; ]')
+        for _ in range(3):
+            assert registry.snapshot() == {}
+    assert len(caplog.records) == 2
+    assert all("ce9.ad" in r.getMessage() for r in caplog.records)
 
 
 # -- gangmatching ----------------------------------------------------------------

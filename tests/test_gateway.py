@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from gridwms import gateway
 from gridwms.accounting import Ledger
 from gridwms.bookkeeping import BookkeepingStore
 from gridwms.client import GatewayClient, GatewayError
@@ -273,3 +274,19 @@ def test_concurrent_submitters_distinct_ids(gw):
     assert not errors
     assert len(ids) == 30
     assert len(set(ids)) == 30
+
+
+def test_colliding_job_id_is_drawn_again(gw, monkeypatch):
+    layout, server = gw
+    ids = iter(["wms-20260101-aaaaaa", "wms-20260101-aaaaaa", "wms-20260101-bbbbbb"])
+    monkeypatch.setattr(gateway, "new_job_id", lambda: next(ids))
+    core = server.core
+    first = core.dispatch("submit", "alice", {"jdl": JDL})["job"]
+    second = core.dispatch("submit", "bob", {"jdl": '[ Executable = "/bin/echo"; ]'})["job"]
+    assert (first, second) == ("wms-20260101-aaaaaa", "wms-20260101-bbbbbb")
+    store = BookkeepingStore(layout.lb_root)
+    assert store.job_record(first).owner == "alice"
+    assert store.job_record(second).owner == "bob"
+    assert "/bin/echo" in store.job_record(second).jdl
+    queued = [json.loads(p)["job"] for _s, _st, p in FileQueue(layout.wm_requests).iter_items()]
+    assert queued == [first, second]

@@ -3,11 +3,13 @@ resubmission, recovery scans."""
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
 
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState
+from gridwms.gateway import GatewayCore
 from gridwms.jdl import ValidationError, validate_job
 from gridwms.layout import SpoolLayout
 from gridwms.manager import MissingSandboxFileError, WorkloadManager
@@ -301,6 +303,49 @@ def test_recover_drives_everything_found(manager):
     manager.recover()
     manager.process_requests()
     assert manager.lb.job_record("j18").state == JobState.READY
+
+
+def upload(core: GatewayCore, job: str, name: str, data: bytes = b"x") -> dict:
+    return core.dispatch("sandbox-put", "alice", {"job": job, "name": name, "seq": 1, "eof": True,
+                                                  "data": base64.b64encode(data).decode("ascii")})
+
+
+def test_stuck_scan_leaves_job_held_for_its_sandbox(wm_spool):
+    core = GatewayCore(wm_spool)
+    manager = WorkloadManager(wm_spool, match_retries=1)
+    body = core.dispatch("submit", "alice", {"jdl": '[ Executable = "/bin/cat"; Arguments = "in.bin"; '
+                                                     'InputSandbox = {"in.bin"}; ]'})
+    job = body["job"]
+    assert body["held_for_sandbox"]
+    requeued = manager.stuck_scan(min_age_ms=0)  # what recover() runs at manager start
+    for _ in range(3):
+        manager.process_requests()
+    assert manager.lb.job_record(job).state == JobState.WAITING
+    assert requeued == 0
+    assert not list(wm_spool.dead_letter.iterdir())
+    assert upload(core, job, "in.bin")["released"]
+    manager.process_requests()
+    assert manager.lb.job_record(job).state == JobState.READY
+    assert manager.executor_queue.pending_count() == 1
+
+
+def test_dag_scan_leaves_dag_held_for_its_sandbox(wm_spool):
+    core = GatewayCore(wm_spool)
+    manager = WorkloadManager(wm_spool, match_retries=1)
+    dag = ('[ Type = "DAG"; Nodes = [ A = [ Executable = "/bin/cat"; Arguments = "in.bin"; '
+           'InputSandbox = {"in.bin"}; ]; ]; ]')
+    job = core.dispatch("submit-dag", "alice", {"jdl": dag})["job"]
+    for _ in range(3):
+        manager.run_scans()
+        manager.process_requests()
+    record = manager.lb.job_record(job)
+    assert record.state == JobState.WAITING
+    assert "node:a" not in record.user_tags
+    assert upload(core, job, "a/in.bin")["released"]
+    manager.process_requests()
+    manager.run_scans()
+    manager.process_requests()
+    assert manager.lb.job_record(f"{job}.a").state == JobState.READY
 
 
 # -- DAG engine --------------------------------------------------------------------
