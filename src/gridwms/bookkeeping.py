@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import UnknownJobError, WmsError
 from .util import append_line, flocked, now_ms
@@ -386,17 +386,29 @@ class BookkeepingStore:
         jobs.sort()
         return jobs
 
+    def records(self) -> Iterator[JobRecord]:
+        """The record of every listed job, in jobId order.
+
+        A job's events file is created just before its Registered line is
+        written, so a listing can name a job that has no event yet; such a
+        job is skipped until the line lands.
+        """
+        for job_id in self.list_jobs():
+            try:
+                yield self.job_record(job_id)
+            except UnknownJobError:
+                continue
+
     # -- queries ------------------------------------------------------------
 
     def query(self, query: Query) -> list[str]:
         """Jobs satisfying every predicate, any listed value per predicate;
         returned in ascending jobId order."""
-        out: list[str] = []
-        for job_id in self.list_jobs():
-            record = self.job_record(job_id)
-            if all(self._predicate_holds(pred, record) for pred in query.predicates):
-                out.append(job_id)
-        return out
+        return [
+            record.job
+            for record in self.records()
+            if all(self._predicate_holds(pred, record) for pred in query.predicates)
+        ]
 
     @staticmethod
     def _predicate_holds(pred: QueryPredicate, record: JobRecord) -> bool:

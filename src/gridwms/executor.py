@@ -4,11 +4,17 @@ append-only job log that the log monitor translates into bookkeeping
 events.
 
 Staging is phase one (durable, not yet runnable) and commit is phase two;
-a staged-never-committed job is garbage-collected after a timeout.  Every
-lifecycle transition appends a record to the job log:
+a staged-never-committed job is garbage-collected after a timeout.  An
+attempt's handle is its idempotence key, `<jobId>.<attempt>`.
 
     spool/executor/job.log          one JSON record per line
     {"ts":..,"handle":..,"jobId":..,"kind":..,"data":{..}}
+
+job.log is the one durable record of an attempt's progress: Staged,
+Committed, Executing, then one terminal record.  Only a live attempt has
+files besides: `staged/<handle>.json`, its descriptor and staging time,
+written once, and `run/<handle>/`, made before its wrapper is spawned.
+Both are deleted once the terminal record is appended.
 
 Simulated CEs run real local processes (one wrapper per job, its own
 process group) so sandbox transfer, exit codes, kill semantics, and
@@ -21,6 +27,7 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import signal
 import subprocess
 import threading
@@ -36,11 +43,12 @@ from .faults import crash_point
 from .filequeue import ACK, FileQueue
 from .layout import SpoolLayout
 from .submission import SubmissionDescriptor
-from .util import append_line, atomic_write_text, flocked, now_ms, python_child_env, python_executable
+from .util import append_line, atomic_write_text, flocked, now_ms, python_child_env, python_executable, read_json_lines
 
 log = logging.getLogger("gridwms.executor")
 
-LOG_KINDS = ("Staged", "Committed", "Executing", "Terminated", "Aborted", "Cancelled")
+TERMINAL_KINDS = ("Terminated", "Aborted", "Cancelled")
+LOG_KINDS = ("Staged", "Committed", "Executing") + TERMINAL_KINDS
 
 DEFAULT_COMMIT_TIMEOUT = 30.0
 DEFAULT_HEARTBEAT_PERIOD = 2.0
@@ -61,39 +69,24 @@ class InvalidDescriptorError(WmsError):
 
 @dataclass
 class StagedJob:
-    handle: str
+    """A live attempt.  Its staged file holds the handle, descriptor and
+    staging time; the flags mirror its records in job.log."""
+
     descriptor: SubmissionDescriptor
-    idem_key: str
     staged_at: int
     committed: bool = False
     started: bool = False
-    terminal: bool = False
-    cancelled: bool = False
+
+    @property
+    def handle(self) -> str:
+        return self.descriptor.idem_key
 
     def as_dict(self) -> dict:
-        return {
-            "handle": self.handle,
-            "descriptor": self.descriptor.as_dict(),
-            "idem_key": self.idem_key,
-            "staged_at": self.staged_at,
-            "committed": self.committed,
-            "started": self.started,
-            "terminal": self.terminal,
-            "cancelled": self.cancelled,
-        }
+        return {"handle": self.handle, "descriptor": self.descriptor.as_dict(), "staged_at": self.staged_at}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StagedJob":
-        return cls(
-            handle=str(obj["handle"]),
-            descriptor=SubmissionDescriptor.from_dict(obj["descriptor"]),
-            idem_key=str(obj["idem_key"]),
-            staged_at=int(obj["staged_at"]),
-            committed=bool(obj.get("committed")),
-            started=bool(obj.get("started")),
-            terminal=bool(obj.get("terminal")),
-            cancelled=bool(obj.get("cancelled")),
-        )
+        return cls(descriptor=SubmissionDescriptor.from_dict(obj["descriptor"]), staged_at=int(obj["staged_at"]))
 
 
 @dataclass
@@ -145,15 +138,14 @@ class ExecutorService:
         self.fake_cpu_seconds = fake_cpu_seconds
         self.gateway_addr = gateway_addr
         self.owner = f"executor-{os.getpid()}"
-        self.jobs: dict[str, StagedJob] = {}
-        self.by_idem: dict[str, str] = {}
+        self.jobs: dict[str, StagedJob] = {}  # live attempts by handle
+        self.finished: set[str] = set()  # handles with a terminal record
         self.procs: dict[str, subprocess.Popen] = {}
         self.ces: dict[str, SimCE] = {}
         self._ce_ads: dict[str, classad.ClassAd] = {}
-        self._handle_seq = 0
         self._last_heartbeat = 0.0
         self._load_ces(Path(resources_dir) if resources_dir else spool.resources_static)
-        self._load_staged()
+        self._load_attempts()
 
     # -- setup / recovery -------------------------------------------------
 
@@ -168,38 +160,58 @@ class ExecutorService:
     def _staged_path(self, handle: str) -> Path:
         return self.spool.executor_staged / f"{handle}.json"
 
-    def _persist(self, job: StagedJob) -> None:
-        atomic_write_text(self._staged_path(job.handle), json.dumps(job.as_dict(), sort_keys=True))
-
-    def _load_staged(self) -> None:
+    def _load_attempts(self) -> None:
+        """Rebuild the finished handles and the live attempts' flags from
+        one read of job.log.  A live attempt counts as started once its
+        run directory exists, even if the crash came before its Executing
+        record, so recovery kills its wrapper instead of running it twice.
+        """
+        seen: dict[str, set[str]] = {}
+        for record in read_json_lines(self.spool.executor_log):
+            handle, kind = str(record.get("handle")), record.get("kind")
+            if kind in TERMINAL_KINDS:
+                self.finished.add(handle)
+            else:
+                seen.setdefault(handle, set()).add(kind)
         for entry in sorted(os.listdir(self.spool.executor_staged)):
             if not entry.endswith(".json"):
+                continue
+            handle = entry[: -len(".json")]
+            if handle in self.finished:
+                self._discard(handle)  # the crash came between the terminal record and the cleanup
                 continue
             try:
                 job = StagedJob.from_dict(json.loads((self.spool.executor_staged / entry).read_text()))
             except (ValueError, KeyError) as exc:
                 log.warning("skipping corrupt staged record %s: %s", entry, exc)
                 continue
-            self.jobs[job.handle] = job
-            self.by_idem[job.idem_key] = job.handle
-            num = job.handle.rpartition("-")[2]
-            if num.isdigit():
-                self._handle_seq = max(self._handle_seq, int(num))
+            kinds = seen.get(handle, set())
+            job.committed = "Committed" in kinds
+            job.started = "Executing" in kinds or self.spool.run_dir(handle).is_dir()
+            self.jobs[handle] = job
+
+    def _discard(self, handle: str) -> None:
+        """Delete a finished attempt's files: the run directory first, so
+        that no run directory outlives its staged file."""
+        shutil.rmtree(self.spool.run_dir(handle), ignore_errors=True)
+        try:
+            os.unlink(self._staged_path(handle))
+        except FileNotFoundError:
+            pass
 
     def recover(self) -> int:
         """Startup recovery: reclaim dead queue claims and close out jobs
         whose wrapper processes did not survive the previous incarnation.
 
-        A job with a started, non-terminal record and no live process gets
-        an Aborted record; its pid group is killed first in case the
-        wrapper outlived us.  Never touches jobs with a Terminated record
-        already on disk, preserving at-most-once completion.
+        A live attempt that had started gets an Aborted record; its pid
+        group is killed first in case the wrapper outlived us.  Finished
+        attempts are not live, preserving at-most-once completion.
         """
         recovered = 0
         self.queue.recover_dead_owners()
         self.queue.recover_scan()
         for job in list(self.jobs.values()):
-            if job.started and not job.terminal:
+            if job.started:
                 self._kill_run_dir(job.handle)
                 self._abort(job, "executor restart: worker process lost")
                 recovered += 1
@@ -218,47 +230,47 @@ class ExecutorService:
 
     # -- two-phase commit ------------------------------------------------
 
-    def stage(self, descriptor: SubmissionDescriptor, idem_key: str) -> str:
-        """Phase one: durably record the job.  Idempotent on idem_key."""
-        existing = self.by_idem.get(idem_key)
-        if existing is not None:
-            return existing
+    def stage(self, descriptor: SubmissionDescriptor) -> str:
+        """Phase one: durably record the attempt; returns its handle.
+        Idempotent: an attempt that is live or finished is not staged again."""
+        handle = descriptor.idem_key
+        if handle in self.jobs or handle in self.finished:
+            return handle
         if not descriptor.submit_to or descriptor.submit_to not in self.ces:
             raise InvalidDescriptorError(f"descriptor targets unknown CE {descriptor.submit_to!r}")
         if not descriptor.plan.command:
             raise InvalidDescriptorError("descriptor has an empty command")
-        self._handle_seq += 1
-        handle = f"h-{self._handle_seq:08d}"
-        job = StagedJob(handle=handle, descriptor=descriptor, idem_key=idem_key, staged_at=now_ms())
+        job = StagedJob(descriptor=descriptor, staged_at=now_ms())
         crash_point("executor.before_stage_persist")
-        self._persist(job)
+        atomic_write_text(self._staged_path(handle), json.dumps(job.as_dict(), sort_keys=True))
         self.jobs[handle] = job
-        self.by_idem[idem_key] = handle
-        self.job_log.append(handle, descriptor.job_id, "Staged", {"ceId": descriptor.submit_to})
+        self.job_log.append(
+            handle, descriptor.job_id, "Staged", {"ceId": descriptor.submit_to, "attempt": descriptor.attempt}
+        )
         crash_point("executor.after_stage")
         return handle
 
     def commit(self, handle: str) -> None:
         """Phase two: make the job runnable.  Idempotent."""
+        if handle in self.finished:
+            return
         job = self.jobs.get(handle)
         if job is None:
             raise UnknownHandleError(f"unknown handle {handle}")
-        if job.committed or job.terminal:
+        if job.committed:
             return
         job.committed = True
-        self._persist(job)
         self.job_log.append(handle, job.descriptor.job_id, "Committed", {"ceId": job.descriptor.submit_to})
         crash_point("executor.after_commit")
 
     def cancel(self, handle: str) -> None:
         """Remove a staged/queued job or kill a running one; appends a
         single Cancelled record."""
+        if handle in self.finished:
+            raise AlreadyTerminalError(f"handle {handle} already terminal")
         job = self.jobs.get(handle)
         if job is None:
             raise UnknownHandleError(f"unknown handle {handle}")
-        if job.terminal:
-            raise AlreadyTerminalError(f"handle {handle} already terminal")
-        job.cancelled = True
         if job.started:
             proc = self.procs.get(handle)
             if proc is not None:
@@ -272,35 +284,32 @@ class ExecutorService:
 
     def cancel_job(self, job_id: str) -> int:
         """Cancel every non-terminal handle for a job id (queue control path)."""
-        count = 0
-        for job in list(self.jobs.values()):
-            if job.descriptor.job_id == job_id and not job.terminal:
-                try:
-                    self.cancel(job.handle)
-                    count += 1
-                except WmsError:
-                    pass
-        return count
+        live = [job.handle for job in self.jobs.values() if job.descriptor.job_id == job_id]
+        for handle in live:
+            self.cancel(handle)
+        return len(live)
 
     def _abort(self, job: StagedJob, reason: str) -> None:
         self._finish(job, "Aborted", {"reason": reason})
 
     def _finish(self, job: StagedJob, kind: str, data: dict) -> None:
-        job.terminal = True
-        self._persist(job)
-        if job.handle in self.procs:
-            ce = self.ces.get(job.descriptor.submit_to)
-            if ce:
-                ce.running.discard(job.handle)
-            self.procs.pop(job.handle, None)
+        handle = job.handle
+        ce = self.ces.get(job.descriptor.submit_to)
+        if ce:
+            ce.running.discard(handle)
+        self.procs.pop(handle, None)
         payload = dict(data)
         payload.setdefault("ceId", job.descriptor.submit_to)
-        self.job_log.append(job.handle, job.descriptor.job_id, kind, payload)
+        self.job_log.append(handle, job.descriptor.job_id, kind, payload)
+        self.finished.add(handle)
+        del self.jobs[handle]
+        self._discard(handle)
 
     # -- execution ------------------------------------------------------------
 
     def _start_job(self, job: StagedJob, ce: SimCE) -> None:
         run_dir = self.spool.run_dir(job.handle)
+        # from here on, a restart counts the attempt as started (see _load_attempts)
         run_dir.mkdir(parents=True, exist_ok=True)
         plan = job.descriptor.plan
         env = python_child_env(plan.env)
@@ -326,7 +335,6 @@ class ExecutorService:
             return
         (run_dir / "wrapper.pid").write_text(str(proc.pid))
         job.started = True
-        self._persist(job)
         self.procs[job.handle] = proc
         ce.running.add(job.handle)
         self.job_log.append(job.handle, job.descriptor.job_id, "Executing", {"ceId": ce.ce_id})
@@ -338,12 +346,6 @@ class ExecutorService:
             if rc is None:
                 continue
             job = self.jobs[handle]
-            ce = self.ces.get(job.descriptor.submit_to)
-            if ce:
-                ce.running.discard(handle)
-            self.procs.pop(handle, None)
-            if job.terminal:
-                continue  # cancelled while running; Cancelled already logged
             result = self._read_wrapper_result(handle)
             crash_point("executor.before_terminal_record")
             if result is not None and "error" in result:
@@ -367,12 +369,9 @@ class ExecutorService:
             return None
 
     def _schedule(self) -> None:
-        queued = [
-            j
-            for j in self.jobs.values()
-            if j.committed and not j.started and not j.terminal
-        ]
-        queued.sort(key=lambda j: (j.staged_at, j.handle))
+        queued = sorted(
+            (j for j in self.jobs.values() if j.committed and not j.started), key=lambda j: (j.staged_at, j.handle)
+        )
         for job in queued:
             ce = self.ces.get(job.descriptor.submit_to)
             if ce is None:
@@ -385,7 +384,7 @@ class ExecutorService:
     def _gc_uncommitted(self) -> None:
         deadline = now_ms() - int(self.commit_timeout * 1000)
         for job in list(self.jobs.values()):
-            if not job.committed and not job.terminal and job.staged_at < deadline:
+            if not job.committed and job.staged_at < deadline:
                 self._abort(job, "commit timeout")
 
     # -- queue consumption -------------------------------------------------------
@@ -406,13 +405,8 @@ class ExecutorService:
                 continue
             try:
                 if payload["type"] == "run":
-                    descriptor = SubmissionDescriptor.from_dict(payload["descriptor"])
-                    existing = self.by_idem.get(descriptor.idem_key)
-                    if existing is not None and self.jobs[existing].terminal:
-                        pass  # attempt already ran to completion; absorb the duplicate
-                    else:
-                        handle = self.stage(descriptor, descriptor.idem_key)
-                        self.commit(handle)
+                    # a duplicate of a finished attempt is absorbed by both calls
+                    self.commit(self.stage(SubmissionDescriptor.from_dict(payload["descriptor"])))
                 else:
                     self.cancel_job(str(payload.get("job", "")))
                 self.queue.settle(item.seq, ACK)

@@ -414,8 +414,8 @@ class WorkloadManager:
         """Resubmit aborted jobs that still have retry budget, excluding
         the CE where the failed attempt ran."""
         resubmitted = 0
-        for job_id in self.lb.list_jobs():
-            record = self.lb.job_record(job_id)
+        for record in self.lb.records():
+            job_id = record.job
             if record.state != JobState.ABORTED:
                 continue
             if self._dag_for(job_id, record) is not None:
@@ -476,8 +476,8 @@ class WorkloadManager:
 
     def dag_scan(self) -> int:
         stepped = 0
-        for job_id in self.lb.list_jobs():
-            record = self.lb.job_record(job_id)
+        for record in self.lb.records():
+            job_id = record.job
             if record.state in TERMINAL_STATES:
                 continue
             dag = self._dag_for(job_id, record)
@@ -627,8 +627,8 @@ class WorkloadManager:
 
     def charge_scan(self) -> int:
         charged = 0
-        for job_id in self.lb.list_jobs():
-            record = self.lb.job_record(job_id)
+        for record in self.lb.records():
+            job_id = record.job
             if record.state not in (JobState.DONE_OK, JobState.DONE_FAILED):
                 continue
             key = (job_id, record.attempt)
@@ -718,8 +718,8 @@ class WorkloadManager:
         now = now_ms()
         pending = None
         requeued = 0
-        for job_id in self.lb.list_jobs():
-            record = self.lb.job_record(job_id)
+        for record in self.lb.records():
+            job_id = record.job
             if record.state not in (JobState.SUBMITTED, JobState.WAITING, JobState.READY):
                 continue
             if self._dag_for(job_id, record) is not None:

@@ -20,6 +20,8 @@ from .layout import SpoolLayout
 from .logmonitor import LogMonitor
 from .manager import WorkloadManager
 
+log = logging.getLogger("gridwms.stack")
+
 
 class Stack:
     def __init__(
@@ -59,14 +61,20 @@ class Stack:
 
     def start(self) -> "Stack":
         self._threads = [
-            threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True),
-            threading.Thread(target=self.manager.run_forever, args=(self._stop,), daemon=True),
-            threading.Thread(target=self.executor.run_forever, args=(self._stop,), daemon=True),
-            threading.Thread(target=self.monitor.run_forever, args=(self._stop,), daemon=True),
+            threading.Thread(
+                target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, name="gateway", daemon=True
+            ),
+            threading.Thread(target=self.manager.run_forever, args=(self._stop,), name="manager", daemon=True),
+            threading.Thread(target=self.executor.run_forever, args=(self._stop,), name="executor", daemon=True),
+            threading.Thread(target=self.monitor.run_forever, args=(self._stop,), name="logmonitor", daemon=True),
         ]
         for t in self._threads:
             t.start()
         return self
+
+    def dead_components(self) -> list[str]:
+        """Names of component threads that have ended while the stack runs."""
+        return [t.name for t in self._threads if not t.is_alive()]
 
     def stop(self) -> None:
         self._stop.set()
@@ -94,11 +102,15 @@ def main(argv: list[str] | None = None) -> int:
     stack.start()
     print(f"gateway listening on {stack.address}")
     try:
-        while True:
-            time.sleep(1.0)
+        while not (dead := stack.dead_components()):
+            time.sleep(0.5)
     except KeyboardInterrupt:
         stack.stop()
-    return 0
+        return 0
+    # a stack missing a component would accept work that nothing finishes
+    log.error("component thread died: %s; stopping the stack", ", ".join(dead))
+    stack.stop()
+    return 1
 
 
 if __name__ == "__main__":

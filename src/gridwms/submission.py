@@ -66,8 +66,10 @@ class SubmissionDescriptor:
     @property
     def idem_key(self) -> str:
         # one staging per (job, attempt) no matter how often the queue
-        # redelivers the descriptor
-        return f"{self.job_id}:{self.attempt}"
+        # redelivers the descriptor; the executor's handle and file names.
+        # Job ids are path components already (input/, lbstore), and the
+        # attempt number has no dot, so the key splits back unambiguously.
+        return f"{self.job_id}.{self.attempt}"
 
     def as_dict(self) -> dict:
         return {

@@ -5,12 +5,16 @@ from __future__ import annotations
 import io
 import subprocess
 import sys
+import threading
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridwms import chkpt, cli
 from gridwms.framing import FrameDecoder, encode_frame
+from gridwms.manager import WorkloadManager
+from gridwms.stack import main as stack_main
 from gridwms.util import python_child_env
 
 from conftest import wait_state
@@ -287,3 +291,18 @@ def test_console_entry_points_run():
     out = subprocess.run([sys.executable, "-m", "gridwms.chkpt"],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 1
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_stack_exits_nonzero_when_a_component_thread_dies(spool, monkeypatch):
+    def broken_tick(self):
+        raise RuntimeError("manager tick failed")
+
+    monkeypatch.setattr(WorkloadManager, "tick", broken_tick)
+    codes = []
+    runner = threading.Thread(
+        target=lambda: codes.append(stack_main(["--spool", str(spool.root), "--port", "0"])), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=10)
+    assert codes == [1]

@@ -72,7 +72,7 @@ def log_records(spool: SpoolLayout) -> list[dict]:
 
 def test_stage_is_durable_and_not_runnable(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool), "job-1:1")
+    handle = service.stage(descriptor(exec_spool))
     kinds = [r["kind"] for r in log_records(exec_spool)]
     assert kinds == ["Staged"]
     # a restart sees the staged job, still not running
@@ -84,8 +84,8 @@ def test_stage_is_durable_and_not_runnable(exec_spool):
 
 def test_stage_idempotent_on_key(exec_spool):
     service = make_service(exec_spool)
-    h1 = service.stage(descriptor(exec_spool), "job-1:1")
-    h2 = service.stage(descriptor(exec_spool), "job-1:1")
+    h1 = service.stage(descriptor(exec_spool))
+    h2 = service.stage(descriptor(exec_spool))
     assert h1 == h2
     assert [r["kind"] for r in log_records(exec_spool)] == ["Staged"]
 
@@ -94,7 +94,7 @@ def test_stage_invalid_descriptor_records_nothing(exec_spool):
     service = make_service(exec_spool)
     bad = descriptor(exec_spool, ce="CE-UNKNOWN")
     with pytest.raises(InvalidDescriptorError):
-        service.stage(bad, "x:1")
+        service.stage(bad)
     assert log_records(exec_spool) == []
     assert service.jobs == {}
 
@@ -106,7 +106,7 @@ def test_commit_unknown_handle(exec_spool):
 
 def test_commit_timeout_garbage_collects(exec_spool):
     service = make_service(exec_spool, commit_timeout=0.2)
-    service.stage(descriptor(exec_spool), "job-1:1")
+    service.stage(descriptor(exec_spool))
     time.sleep(0.3)
     service.tick()
     records = log_records(exec_spool)
@@ -125,9 +125,9 @@ def test_execute_round_trip_output_sandbox(exec_spool, tmp_path):
         inputs=[{"name": "input.bin", "source": str(src)}],
         outputs=["result.bin"],
     )
-    handle = service.stage(desc, "job-1:1")
+    handle = service.stage(desc)
     service.commit(handle)
-    run_until(service, lambda: service.jobs[handle].terminal)
+    run_until(service, lambda: handle not in service.jobs)
     out = exec_spool.output_dir("job-1") / "result.bin"
     assert out.read_bytes() == payload  # byte-identical
     records = log_records(exec_spool)
@@ -137,9 +137,9 @@ def test_execute_round_trip_output_sandbox(exec_spool, tmp_path):
 
 def test_exit_code_captured(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool, command=["/bin/sh", "-c", "exit 3"]), "j:1")
+    handle = service.stage(descriptor(exec_spool, command=["/bin/sh", "-c", "exit 3"]))
     service.commit(handle)
-    run_until(service, lambda: service.jobs[handle].terminal)
+    run_until(service, lambda: handle not in service.jobs)
     last = log_records(exec_spool)[-1]
     assert last["kind"] == "Terminated"
     assert last["data"]["exitCode"] == 3
@@ -150,9 +150,9 @@ def test_escaping_sandbox_names_abort_in_band(exec_spool, tmp_path):
     src.write_text("x")
     service = make_service(exec_spool)
     desc = descriptor(exec_spool, inputs=[{"name": "/etc/evil", "source": str(src)}])
-    handle = service.stage(desc, "j:1")
+    handle = service.stage(desc)
     service.commit(handle)
-    run_until(service, lambda: service.jobs[handle].terminal)
+    run_until(service, lambda: handle not in service.jobs)
     last = log_records(exec_spool)[-1]
     assert last["kind"] == "Aborted"
     assert "escapes scratch" in last["data"]["reason"]
@@ -160,9 +160,9 @@ def test_escaping_sandbox_names_abort_in_band(exec_spool, tmp_path):
 
 def test_missing_executable_aborts_in_band(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool, command=["no-such-program-xyz"]), "j:1")
+    handle = service.stage(descriptor(exec_spool, command=["no-such-program-xyz"]))
     service.commit(handle)
-    run_until(service, lambda: service.jobs[handle].terminal)
+    run_until(service, lambda: handle not in service.jobs)
     last = log_records(exec_spool)[-1]
     assert last["kind"] == "Aborted"
     assert "not found" in last["data"]["reason"]
@@ -170,11 +170,9 @@ def test_missing_executable_aborts_in_band(exec_spool):
 
 def test_signal_death_becomes_abort(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(
-        descriptor(exec_spool, command=["/bin/sh", "-c", "kill -9 $$"]), "j:1"
-    )
+    handle = service.stage(descriptor(exec_spool, command=["/bin/sh", "-c", "kill -9 $$"]))
     service.commit(handle)
-    run_until(service, lambda: service.jobs[handle].terminal)
+    run_until(service, lambda: handle not in service.jobs)
     last = log_records(exec_spool)[-1]
     assert last["kind"] == "Aborted"
     assert "signal 9" in last["data"]["reason"]
@@ -188,16 +186,16 @@ def test_checkpoint_restore_file_written(exec_spool):
         outputs=["restored.txt"],
         checkpoint=[["step", "3"], ["sum", "6"]],
     )
-    handle = service.stage(desc, "j:1")
+    handle = service.stage(desc)
     service.commit(handle)
-    run_until(service, lambda: service.jobs[handle].terminal)
+    run_until(service, lambda: handle not in service.jobs)
     restored = exec_spool.output_dir("job-1") / "restored.txt"
     assert restored.read_text() == "step=3\nsum=6\n"
 
 
 def test_cancel_queued_job_never_executes(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool), "j:1")
+    handle = service.stage(descriptor(exec_spool))
     service.cancel(handle)
     service.tick()
     kinds = [r["kind"] for r in log_records(exec_spool)]
@@ -207,7 +205,7 @@ def test_cancel_queued_job_never_executes(exec_spool):
 
 def test_cancel_running_job_kills_process(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool, command=["/bin/sleep", "30"]), "j:1")
+    handle = service.stage(descriptor(exec_spool, command=["/bin/sleep", "30"]))
     service.commit(handle)
     run_until(service, lambda: service.jobs[handle].started)
     proc = service.procs[handle]
@@ -224,7 +222,7 @@ def test_cancel_running_job_kills_process(exec_spool):
 
 def test_cancel_twice_already_terminal(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool), "j:1")
+    handle = service.stage(descriptor(exec_spool))
     service.cancel(handle)
     with pytest.raises(AlreadyTerminalError):
         service.cancel(handle)
@@ -235,10 +233,10 @@ def test_slot_bound_respected(exec_spool):
     handles = []
     for i in range(5):
         h = service.stage(descriptor(exec_spool, job=f"job-{i}",
-                                     command=["/bin/sh", "-c", "sleep 0.3"]), f"job-{i}:1")
+                                     command=["/bin/sh", "-c", "sleep 0.3"]))
         service.commit(h)
         handles.append(h)
-    run_until(service, lambda: all(service.jobs[h].terminal for h in handles), timeout=30)
+    run_until(service, lambda: all(h not in service.jobs for h in handles), timeout=30)
     # reconstruct concurrency from the log ordering
     running = 0
     peak = 0
@@ -256,9 +254,9 @@ def test_slot_bound_respected(exec_spool):
 def test_two_phase_safety_from_log(exec_spool):
     service = make_service(exec_spool)
     for i in range(3):
-        h = service.stage(descriptor(exec_spool, job=f"job-{i}"), f"job-{i}:1")
+        h = service.stage(descriptor(exec_spool, job=f"job-{i}"))
         service.commit(h)
-    run_until(service, lambda: all(j.terminal for j in service.jobs.values()), timeout=30)
+    run_until(service, lambda: not service.jobs, timeout=30)
     seen: dict[str, list[str]] = {}
     for record in log_records(exec_spool):
         seen.setdefault(record["handle"], []).append(record["kind"])
@@ -270,9 +268,9 @@ def test_two_phase_safety_from_log(exec_spool):
 
 def test_at_most_once_completion_per_handle(exec_spool):
     service = make_service(exec_spool)
-    h = service.stage(descriptor(exec_spool), "j:1")
+    h = service.stage(descriptor(exec_spool))
     service.commit(h)
-    run_until(service, lambda: service.jobs[h].terminal)
+    run_until(service, lambda: h not in service.jobs)
     kinds = [r["kind"] for r in log_records(exec_spool) if r["handle"] == h]
     terminal = [k for k in kinds if k in ("Terminated", "Aborted", "Cancelled")]
     assert len(terminal) == 1
@@ -280,7 +278,7 @@ def test_at_most_once_completion_per_handle(exec_spool):
 
 def test_executor_restart_aborts_lost_processes(exec_spool):
     service = make_service(exec_spool)
-    handle = service.stage(descriptor(exec_spool, command=["/bin/sleep", "60"]), "j:1")
+    handle = service.stage(descriptor(exec_spool, command=["/bin/sleep", "60"]))
     service.commit(handle)
     run_until(service, lambda: service.jobs[handle].started)
     proc = service.procs[handle]
@@ -303,7 +301,7 @@ def test_queue_consumption_stages_and_commits(exec_spool):
     service = make_service(exec_spool)
     desc = descriptor(exec_spool)
     service.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
-    run_until(service, lambda: any(j.terminal for j in service.jobs.values()))
+    run_until(service, lambda: desc.idem_key in service.finished)
     kinds = [r["kind"] for r in log_records(exec_spool)]
     assert kinds[:3] == ["Staged", "Committed", "Executing"]
 
@@ -314,10 +312,106 @@ def test_duplicate_descriptor_absorbed(exec_spool):
     service.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
     service.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
     run_until(service, lambda: service.queue.pending_count() == 0 and
-              any(j.terminal for j in service.jobs.values()), timeout=30)
+              desc.idem_key in service.finished, timeout=30)
     records = log_records(exec_spool)
     assert len([r for r in records if r["kind"] == "Executing"]) == 1
     assert len([r for r in records if r["kind"] == "Terminated"]) == 1
+
+
+# -- only live attempts are kept -----------------------------------------------------
+
+
+def run_through_queue(service: ExecutorService, *descs: SubmissionDescriptor) -> None:
+    for desc in descs:
+        service.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
+    run_until(service, lambda: service.queue.pending_count() == 0 and not service.jobs, timeout=30)
+
+
+def test_finished_attempts_leave_no_state(exec_spool):
+    service = make_service(exec_spool)
+    descs = [descriptor(exec_spool, job=f"job-{i}", command=["/bin/true"]) for i in range(4)]
+    run_through_queue(service, *descs)
+    assert service.jobs == {}
+    assert os.listdir(exec_spool.executor_staged) == []
+    assert os.listdir(exec_spool.run_root) == []
+    assert service.finished == {d.idem_key for d in descs}
+    assert [r["kind"] for r in log_records(exec_spool)].count("Terminated") == 4
+
+
+def test_restart_absorbs_run_for_finished_attempt(exec_spool):
+    service = make_service(exec_spool)
+    desc = descriptor(exec_spool, command=["/bin/true"])
+    handle = service.stage(desc)
+    staged = (exec_spool.executor_staged / f"{handle}.json").read_text()
+    service.commit(handle)
+    run_until(service, lambda: handle not in service.jobs)
+    # a crash between the terminal record and the cleanup leaves both behind
+    (exec_spool.executor_staged / f"{handle}.json").write_text(staged)
+    exec_spool.run_dir(handle).mkdir()
+    again = make_service(exec_spool)
+    assert again.jobs == {}
+    assert os.listdir(exec_spool.executor_staged) == [] and os.listdir(exec_spool.run_root) == []
+    assert again.recover() == 0
+    again.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
+    run_until(again, lambda: again.queue.pending_count() == 0)
+    for _ in range(5):
+        again.tick()
+    kinds = [r["kind"] for r in log_records(exec_spool)]
+    assert kinds.count("Executing") == 1 and kinds.count("Terminated") == 1
+    assert again.jobs == {}
+
+
+def test_restart_aborts_attempt_whose_run_dir_exists_without_executing_record(exec_spool):
+    service = make_service(exec_spool)
+    handle = service.stage(descriptor(exec_spool, command=["/bin/sleep", "60"]))
+    service.commit(handle)
+    real_append = service.job_log.append
+
+    def crash_before_executing(handle, job_id, kind, data=None):
+        if kind == "Executing":
+            raise RuntimeError("executor died after the spawn")
+        real_append(handle, job_id, kind, data)
+
+    service.job_log.append = crash_before_executing
+    with pytest.raises(RuntimeError):
+        run_until(service, lambda: False)
+    proc = service.procs[handle]
+    assert proc.poll() is None  # the wrapper is running, unrecorded
+    replacement = make_service(exec_spool)
+    assert replacement.jobs[handle].started
+    assert replacement.recover() == 1
+    deadline = time.monotonic() + 5
+    while proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert proc.poll() is not None  # the wrapper was killed
+    for _ in range(5):
+        replacement.tick()
+    kinds = [r["kind"] for r in log_records(exec_spool) if r["handle"] == handle]
+    assert kinds == ["Staged", "Committed", "Aborted"]
+    assert replacement.jobs == {} and os.listdir(exec_spool.run_root) == []
+
+
+def test_restart_cancel_of_finished_handle_is_already_terminal(exec_spool):
+    service = make_service(exec_spool)
+    handle = service.stage(descriptor(exec_spool, command=["/bin/true"]))
+    service.commit(handle)
+    run_until(service, lambda: handle not in service.jobs)
+    again = make_service(exec_spool)
+    with pytest.raises(AlreadyTerminalError):
+        again.cancel(handle)
+    again.commit(handle)  # idempotent on a finished attempt
+    assert [r["kind"] for r in log_records(exec_spool)].count("Committed") == 1
+
+
+def test_handles_never_repeat_across_restarts(exec_spool):
+    first = descriptor(exec_spool, job="job-1", command=["/bin/true"])
+    run_through_queue(make_service(exec_spool), first)
+    run_through_queue(make_service(exec_spool), first, descriptor(exec_spool, job="job-2", command=["/bin/true"]))
+    run_through_queue(make_service(exec_spool), descriptor(exec_spool, job="job-1", attempt=2, command=["/bin/true"]))
+    staged = [r for r in log_records(exec_spool) if r["kind"] == "Staged"]
+    handles = [r["handle"] for r in staged]
+    assert len(handles) == len(set(handles)) == 3
+    assert [(r["jobId"], r["data"]["attempt"]) for r in staged] == [("job-1", 1), ("job-2", 1), ("job-1", 2)]
 
 
 def test_heartbeat_publishes_free_slots(exec_spool):

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from gridwms.bookkeeping import BookkeepingStore, Event, JobState
+from gridwms.bookkeeping import BookkeepingStore, Event, JobState, Query, QueryPredicate
 from gridwms.gateway import GatewayCore
 from gridwms.jdl import ValidationError, validate_job
 from gridwms.layout import SpoolLayout
@@ -296,6 +296,18 @@ def test_stuck_scan_requeues_orphaned_jobs(manager):
     assert manager.stuck_scan(min_age_ms=0) == 0  # now pending, not stuck
     manager.process_requests()
     assert manager.lb.job_record("j17").state == JobState.READY
+
+
+def test_scans_and_query_skip_a_job_with_no_event_yet(manager):
+    register(manager, "job-1", '[ Executable = "/bin/true"; ]')
+    # the gateway creates a job's events file just before it writes the
+    # Registered line; a scan listing the jobs in between sees it empty
+    empty = manager.lb._events_path("job-2")
+    empty.parent.mkdir(parents=True, exist_ok=True)
+    empty.touch()
+    manager.run_scans()
+    assert manager.lb.query(Query((QueryPredicate("owner", ("alice",)),))) == ["job-1"]
+    assert [record.job for record in manager.lb.records()] == ["job-1"]
 
 
 def test_recover_drives_everything_found(manager):
