@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import UnknownJobError, WmsError
 from .util import append_line, flocked, now_ms
@@ -132,19 +132,21 @@ class Event:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "Event":
+    def from_dict(cls, obj: dict, payloads: dict[tuple, dict[str, str]]) -> "Event":
         # A store caches every job it reads, and events repeat the same
         # strings (job id, source, kind, payload keys, destinations):
-        # interned, each is held once.
+        # interned, each is held once.  Whole payloads repeat too ({}, a
+        # destination, a user tag): one equal to a payload in the table
+        # `payloads` is replaced by it, so payloads are read-only.
+        payload = {sys.intern(str(k)): sys.intern(str(v)) for k, v in dict(obj.get("payload") or {}).items()}
+        payload = payloads.setdefault(tuple(payload.items()), payload)
         return cls(
             job=sys.intern(str(obj["job"])),
             source=sys.intern(str(obj["src"])),
             sseq=int(obj["sseq"]),
             ts=int(obj["ts"]),
             kind=sys.intern(str(obj["kind"])),
-            payload={
-                sys.intern(str(k)): sys.intern(str(v)) for k, v in dict(obj.get("payload") or {}).items()
-            },
+            payload=payload,
         )
 
 
@@ -171,7 +173,7 @@ def derive_state(events: Iterable[Event]) -> tuple[JobState, int]:
     return _derive_ordered(sorted(events, key=_event_key))
 
 
-def _derive_ordered(ordered: list[Event]) -> tuple[JobState, int]:
+def _derive_ordered(ordered: Sequence[Event]) -> tuple[JobState, int]:
     attempt = 1
     seg_start = 0
     cleared = False
@@ -239,6 +241,9 @@ class Query:
                 raise BadQueryError(f"predicate {f!r} lists no values")
 
 
+PAYLOAD_TABLE_MAX = 256
+
+
 def _shard(job_id: str) -> str:
     return hashlib.sha256(job_id.encode("utf-8")).hexdigest()[:2]
 
@@ -250,7 +255,10 @@ class BookkeepingStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # cache: job -> (file size, parsed events); purely derived state
-        self._cache: dict[str, tuple[int, list[Event]]] = {}
+        self._cache: dict[str, tuple[int, tuple[Event, ...]]] = {}
+        # the cached events' payloads, each held once (Event.from_dict);
+        # emptied when full, as some payloads are unique (a jdl, a cpu time)
+        self._payloads: dict[tuple, dict[str, str]] = {}
 
     # -- paths ----------------------------------------------------------
 
@@ -282,28 +290,30 @@ class BookkeepingStore:
 
     # -- reading ----------------------------------------------------------
 
-    def _load_events(self, job_id: str) -> list[Event]:
+    def _load_events(self, job_id: str) -> tuple[Event, ...]:
         path = self._events_path(job_id)
         try:
             size = path.stat().st_size
         except FileNotFoundError:
             self._cache.pop(job_id, None)
-            return []
+            return ()
         cached = self._cache.get(job_id)
         if cached and cached[0] == size:
             return cached[1]
         events: list[Event] = []
+        if len(self._payloads) >= PAYLOAD_TABLE_MAX:
+            self._payloads.clear()
         for line in path.read_bytes().split(b"\n"):
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(Event.from_dict(json.loads(line.decode("utf-8"))))
+                events.append(Event.from_dict(json.loads(line.decode("utf-8")), self._payloads))
             except (ValueError, KeyError, UnicodeDecodeError):
                 continue  # partial or corrupt line: skip
-        events.sort(key=_content_key)
-        self._cache[job_id] = (size, events)
-        return events
+        ordered = tuple(sorted(events, key=_content_key))
+        self._cache[job_id] = (size, ordered)
+        return ordered
 
     def events_of(self, job_id: str) -> list[Event]:
         """A job's events in canonical order."""
@@ -382,7 +392,7 @@ class BookkeepingStore:
                 continue
             for entry in os.listdir(shard_dir):
                 if entry.endswith(".events"):
-                    jobs.append(entry[: -len(".events")])
+                    jobs.append(sys.intern(entry[: -len(".events")]))  # the cached events' own id
         jobs.sort()
         return jobs
 

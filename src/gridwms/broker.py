@@ -144,6 +144,7 @@ class _ParsedFile:
     stat_key: tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
     trusted: bool
     resource: tuple[str, str, ClassAd] | None  # (id, type, ad); None when rejected
+    error: str | None = None  # why it was rejected
 
 
 class ResourceRegistry:
@@ -182,14 +183,17 @@ class ResourceRegistry:
             if previous is not None and previous.trusted and previous.stat_key == stat_key:
                 return previous
             data = fh.read()
+        resource, error = None, None
         try:
             ad = classad.parse_ad(data.decode("utf-8"))
             resource = (*validate_resource_ad(ad), ad)
         except (WmsError, UnicodeDecodeError) as exc:
-            if previous is None or previous.stat_key != stat_key or previous.resource is not None:
-                log.warning("ignoring resource file %s: %s", path, exc)
-            resource = None
-        return _ParsedFile(stat_key, started - st.st_ctime_ns >= RACY_MARGIN_NS, resource)
+            error = str(exc)
+            # warn when the file turns invalid, or invalid in a new way, not
+            # on every rewrite (a heartbeat rewrites its file every period)
+            if previous is None or previous.error != error:
+                log.warning("ignoring resource file %s: %s", path, error)
+        return _ParsedFile(stat_key, started - st.st_ctime_ns >= RACY_MARGIN_NS, resource, error)
 
     def _scan_dir(
         self, directory: Path | None, parsed_now: dict[Path, _ParsedFile], mtime_as_update: bool

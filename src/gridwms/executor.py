@@ -53,6 +53,8 @@ LOG_KINDS = ("Staged", "Committed", "Executing") + TERMINAL_KINDS
 DEFAULT_COMMIT_TIMEOUT = 30.0
 DEFAULT_HEARTBEAT_PERIOD = 2.0
 WRAPPER_SETUP_FAILED = 125
+# run as `python -S -c WRAPPER_MAIN plan.json`; see gridwms.wrapper for why
+WRAPPER_MAIN = "from gridwms.wrapper import main; raise SystemExit(main())"
 
 
 class UnknownHandleError(WmsError):
@@ -319,10 +321,12 @@ class ExecutorService:
         if self.gateway_addr:
             env.setdefault("WMS_GATEWAY", self.gateway_addr)
         plan_path = run_dir / "plan.json"
-        atomic_write_text(plan_path, json.dumps(plan.as_dict(), sort_keys=True))
+        # no fsync: only this wrapper reads the plan, and after a crash the
+        # run directory alone makes recovery abort the attempt
+        plan_path.write_text(json.dumps(plan.as_dict(), sort_keys=True))
         try:
             proc = subprocess.Popen(
-                [python_executable(), "-m", "gridwms.wrapper", str(plan_path)],
+                [python_executable(), "-S", "-c", WRAPPER_MAIN, str(plan_path)],
                 cwd=run_dir,
                 env=env,
                 stdout=subprocess.DEVNULL,

@@ -1,34 +1,32 @@
 """The job wrapper: creates the execution environment on the worker.
 
-Run as `python -m gridwms.wrapper plan.json` inside a fresh scratch
-directory.  The wrapper imports the input sandbox, materializes the
-checkpoint restore file, exports the job environment, runs the user
-executable with the requested stdio routing (bridging the standard
-streams over a socket for interactive jobs), collects the output sandbox,
+The executor starts it in a fresh scratch directory (its working directory)
+as `python -S -c "from gridwms.wrapper import main; ..." plan.json`, and
+`python -m gridwms.wrapper plan.json` works too.  Every job pays for this
+start, so `-S` skips `site` and its `.pth` hooks (`python_child_env` puts
+the package on PYTHONPATH, which `-S` honours), `-c` skips `runpy`, and
+the module level imports only `json`, `os`, `sys` and `time`.  The
+interactive path imports `socket`, `subprocess`, `threading` and
+`.framing`; `shutil` is imported only to look a bare command up on PATH.
+
+plan.json is `WrapperPlan.as_dict()`, read as a plain dict.  The wrapper
+imports the input sandbox, materializes the checkpoint restore file,
+exports the job environment, runs the user executable (a plain job by
+`os.posix_spawn` in the wrapper's process group, an interactive one with
+its standard streams bridged over a socket), collects the output sandbox,
 and reports the outcome in wrapper.result:
 
-    {"exit": <code>, "cpu_seconds": <float>}         normal completion
-    {"error": "...", ...}                            setup failure or
-                                                     signal death
+    {"exit": <code>, "cpu_seconds": <float>}   normal completion
+    {"error": "...", ...}                      setup failure or signal death
 
 Exit code 125 is reserved for setup failures so the executor can tell
 them apart from user exit codes (which it reads from wrapper.result).
 """
 
-from __future__ import annotations
-
 import json
 import os
-import shutil
-import socket
-import subprocess
 import sys
-import threading
 import time
-from pathlib import Path
-
-from .framing import STDERR, STDIN, STDOUT, FrameDecoder, encode_frame
-from .submission import WrapperPlan
 
 SETUP_FAILED = 125
 CHECKPOINT_FILE = "wms_checkpoint_in"
@@ -36,143 +34,155 @@ CONNECT_RETRY_SECONDS = 0.25
 CONNECT_TIMEOUT = 30.0
 
 
-def _fail(scratch: Path, message: str) -> int:
+def _fail(scratch: str, message: str) -> int:
     _write_result(scratch, {"error": message})
     sys.stderr.write(f"wrapper: {message}\n")
     return SETUP_FAILED
 
 
-def _write_result(scratch: Path, obj: dict) -> None:
-    tmp = scratch / ".wrapper.result.tmp"
-    tmp.write_text(json.dumps(obj, sort_keys=True))
-    os.replace(tmp, scratch / "wrapper.result")
+def _write_result(scratch: str, obj: dict) -> None:
+    tmp = os.path.join(scratch, ".wrapper.result.tmp")
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True))
+    os.replace(tmp, os.path.join(scratch, "wrapper.result"))
 
 
-def _import_sandbox(plan: WrapperPlan, scratch: Path) -> str | None:
-    for item in plan.inputs:
+def _escapes(name: str) -> bool:
+    return os.path.isabs(name) or ".." in name.split("/")
+
+
+def _copy(source: str, dest: str) -> None:
+    os.makedirs(os.path.dirname(dest), exist_ok=True)
+    with open(source, "rb") as fin, open(dest, "wb") as fout:
+        while chunk := fin.read(1 << 20):
+            fout.write(chunk)
+
+
+def _import_sandbox(plan: dict, scratch: str) -> str | None:
+    for item in plan.get("inputs") or []:
         name, source = item.get("name"), item.get("source")
         if not name or not source:
             return f"bad input manifest entry: {item!r}"
-        if Path(name).is_absolute() or ".." in Path(name).parts:
+        if _escapes(name):
             return f"input name escapes scratch: {name}"
-        dest = scratch / name
-        dest.parent.mkdir(parents=True, exist_ok=True)
         try:
-            shutil.copyfile(source, dest)
+            _copy(source, os.path.join(scratch, name))
         except OSError as exc:
             return f"input sandbox copy failed for {name}: {exc}"
     return None
 
 
-def _export_sandbox(plan: WrapperPlan, scratch: Path) -> str | None:
-    if not plan.outputs:
+def _export_sandbox(plan: dict, scratch: str) -> str | None:
+    if not plan.get("outputs"):
         return None
-    out_dir = Path(plan.output_dir)
+    out_dir = plan.get("output_dir") or ""
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in plan.outputs:
-            if Path(name).is_absolute() or ".." in Path(name).parts:
+        os.makedirs(out_dir, exist_ok=True)
+        for name in plan["outputs"]:
+            if _escapes(name):
                 return f"output name escapes scratch: {name}"
-            src = scratch / name
-            if not src.exists():
-                continue  # a job may legitimately not produce every file
-            dest = out_dir / name
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(src, dest)
+            src = os.path.join(scratch, name)
+            if os.path.exists(src):  # a job may legitimately not produce every file
+                _copy(src, os.path.join(out_dir, name))
     except OSError as exc:
         return f"output sandbox copy failed: {exc}"
     return None
 
 
-def _resolve_command(plan: WrapperPlan, scratch: Path) -> list[str] | str:
-    argv = list(plan.command)
+def _resolve_command(plan: dict, scratch: str) -> list[str] | str:
+    argv = list(plan["command"])
     exe = argv[0]
     if "/" in exe:
-        if not Path(exe).is_absolute():
-            exe = str(scratch / exe)
+        exe = os.path.join(scratch, exe)  # an absolute exe stays as it is
     else:
-        local = scratch / exe
-        if local.exists():
-            local.chmod(local.stat().st_mode | 0o755)
-            exe = str(local)
+        local = os.path.join(scratch, exe)
+        if os.path.exists(local):
+            os.chmod(local, os.stat(local).st_mode | 0o755)
+            exe = local
         else:
+            import shutil
+
             found = shutil.which(exe)
             if found is None:
-                return f"executable not found: {plan.command[0]}"
+                return f"executable not found: {exe}"
             exe = found
-    if not Path(exe).exists():
+    if not os.path.exists(exe):
         return f"executable not found: {exe}"
     argv[0] = exe
     return argv
 
 
-def _connect_listener(host: str, port: int) -> socket.socket | None:
+def _run_plain(argv: list[str], env: dict, plan: dict, scratch: str) -> int | str:
+    """Spawn the job in this process group and wait: its exit status, or minus its signal."""
+    import signal  # to reset SIGPIPE and SIGXFSZ for the job, as Popen does
+
+    stdin = os.path.join(scratch, plan["stdin"]) if plan.get("stdin") else os.devnull
+    try:
+        stdio = [os.open(stdin, os.O_RDONLY)]
+    except OSError as exc:
+        return f"stdin unavailable: {exc}"
+    try:
+        for name in (plan.get("stdout") or "stdout.log", plan.get("stderr") or "stderr.log"):
+            stdio.append(os.open(os.path.join(scratch, name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+        actions = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate(stdio)]
+        pid = os.posix_spawn(argv[0], argv, env, file_actions=actions, setsigdef=(signal.SIGPIPE, signal.SIGXFSZ))
+    except OSError as exc:
+        return f"exec failed: {exc}"
+    finally:
+        for fd in stdio:
+            os.close(fd)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _run_interactive(argv: list[str], env: dict, host: str, port: int) -> int | str:
+    """Run the job with its standard streams bridged to the listener."""
+    import socket
+    import subprocess
+    import threading
+
+    from .framing import STDERR, STDIN, STDOUT, FrameDecoder, encode_frame
+
     deadline = time.monotonic() + CONNECT_TIMEOUT
-    while time.monotonic() < deadline:
+    while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
+            break
         except OSError:
+            if time.monotonic() >= deadline:
+                return f"interactive listener {host}:{port} unreachable"
             time.sleep(CONNECT_RETRY_SECONDS)
-    return None
 
-
-def _run_interactive(argv: list[str], env: dict, sock: socket.socket) -> int:
-    proc = subprocess.Popen(
-        argv,
-        env=env,
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-
+    proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     send_lock = threading.Lock()
 
     def ship(stream_id: int, fh) -> None:
-        while True:
-            chunk = fh.read1(65536) if hasattr(fh, "read1") else fh.read(65536)
-            if not chunk:
-                break
+        while True:  # the last frame, empty, is the end of the stream
+            chunk = fh.read1(65536)
             with send_lock:
                 try:
                     sock.sendall(encode_frame(stream_id, chunk))
                 except OSError:
-                    break
-        with send_lock:
-            try:
-                sock.sendall(encode_frame(stream_id, b""))
-            except OSError:
-                pass
+                    return
+            if not chunk:
+                return
 
     def receive() -> None:
         decoder = FrameDecoder()
-        while True:
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                data = b""
-            if not data:
-                break
-            for stream_id, payload in decoder.feed(data):
-                if stream_id != STDIN or proc.stdin is None:
-                    continue
-                if payload:
-                    try:
-                        proc.stdin.write(payload)
-                        proc.stdin.flush()
-                    except (BrokenPipeError, ValueError):
-                        return
-                else:
-                    try:
+        try:
+            while data := sock.recv(65536):
+                for stream_id, payload in decoder.feed(data):
+                    if stream_id != STDIN:
+                        continue
+                    if not payload:
                         proc.stdin.close()
-                    except OSError:
-                        pass
-                    return
+                        return
+                    proc.stdin.write(payload)
+                    proc.stdin.flush()
+        except (OSError, ValueError):
+            return
 
-    threads = [
-        threading.Thread(target=ship, args=(STDOUT, proc.stdout), daemon=True),
-        threading.Thread(target=ship, args=(STDERR, proc.stderr), daemon=True),
-        threading.Thread(target=receive, daemon=True),
-    ]
+    threads = [threading.Thread(target=ship, args=out, daemon=True) for out in ((STDOUT, proc.stdout), (STDERR, proc.stderr))]
+    threads.append(threading.Thread(target=receive, daemon=True))
     for t in threads:
         t.start()
     rc = proc.wait()
@@ -187,10 +197,13 @@ def _run_interactive(argv: list[str], env: dict, sock: socket.socket) -> int:
 
 
 def run(plan_path: str) -> int:
-    scratch = Path.cwd()
+    scratch = os.getcwd()
     try:
-        plan = WrapperPlan.from_dict(json.loads(Path(plan_path).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
+        with open(plan_path, "rb") as fh:
+            plan = json.load(fh)
+        plan["command"] = [str(c) for c in plan["command"]]
+        plan["env"] = {str(k): str(v) for k, v in dict(plan.get("env") or {}).items()}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(scratch, f"unreadable plan: {exc}")
 
     error = _import_sandbox(plan, scratch)
@@ -198,39 +211,22 @@ def run(plan_path: str) -> int:
         return _fail(scratch, error)
 
     env = dict(os.environ)
-    env.update(plan.env)
-    if plan.checkpoint_pairs is not None:
-        restore = scratch / CHECKPOINT_FILE
-        restore.write_text("".join(f"{k}={v}\n" for k, v in plan.checkpoint_pairs))
-        env["WMS_CHECKPOINT_IN"] = str(restore)
+    env.update(plan["env"])
+    if plan.get("checkpoint_pairs") is not None:
+        restore = os.path.join(scratch, CHECKPOINT_FILE)
+        with open(restore, "w") as fh:
+            fh.write("".join(f"{k}={v}\n" for k, v in plan["checkpoint_pairs"]))
+        env["WMS_CHECKPOINT_IN"] = restore
 
     argv = _resolve_command(plan, scratch)
     if isinstance(argv, str):
         return _fail(scratch, argv)
 
     started = time.monotonic()
-    if plan.listener:
-        host, port = plan.listener[0], int(plan.listener[1])
-        sock = _connect_listener(host, port)
-        if sock is None:
-            return _fail(scratch, f"interactive listener {host}:{port} unreachable")
-        rc = _run_interactive(argv, env, sock)
-    else:
-        try:
-            stdin_fh = open(scratch / plan.stdin, "rb") if plan.stdin else subprocess.DEVNULL
-        except OSError as exc:
-            return _fail(scratch, f"stdin unavailable: {exc}")
-        out_name = plan.stdout or "stdout.log"
-        err_name = plan.stderr or "stderr.log"
-        with open(scratch / out_name, "wb") as out_fh, open(scratch / err_name, "wb") as err_fh:
-            try:
-                proc = subprocess.Popen(argv, env=env, stdin=stdin_fh, stdout=out_fh, stderr=err_fh)
-            except OSError as exc:
-                return _fail(scratch, f"exec failed: {exc}")
-            finally:
-                if stdin_fh is not subprocess.DEVNULL:
-                    stdin_fh.close()
-            rc = proc.wait()
+    listener = plan.get("listener")
+    rc = _run_interactive(argv, env, listener[0], int(listener[1])) if listener else _run_plain(argv, env, plan, scratch)
+    if isinstance(rc, str):
+        return _fail(scratch, rc)
 
     wall = time.monotonic() - started
     cpu_seconds = float(env.get("WMS_FAKE_CPU_SECONDS", wall))
@@ -248,6 +244,10 @@ def run(plan_path: str) -> int:
 
 
 def main() -> int:
+    # the job's files land in the working directory: none of them may stand
+    # in for a module imported later (an input named signal.py, say)
+    if sys.path and sys.path[0] in ("", os.getcwd()):
+        del sys.path[0]
     if len(sys.argv) != 2:
         sys.stderr.write("usage: python -m gridwms.wrapper <plan.json>\n")
         return 2

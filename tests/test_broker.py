@@ -248,19 +248,25 @@ def test_registry_drops_deleted_file(tmp_path):
     assert set(registry.snapshot()) == {"CE2"}
 
 
-def test_registry_warns_once_per_invalid_file_version(tmp_path, caplog):
+def test_registry_warns_when_a_file_turns_invalid(tmp_path, caplog):
     bad = tmp_path / "ce9.ad"
-    atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 5; TotalCPUs = 4; ]')
     registry = ResourceRegistry(live_dir=tmp_path)
     with caplog.at_level(logging.WARNING, logger="gridwms.broker"):
-        for _ in range(3):
-            assert registry.snapshot() == {}
+        for free in (5, 6, 7):  # a heartbeat rewriting the same fault
+            atomic_write_text(bad, f'[ Id = "CE9"; Type = "CE"; FreeCPUs = {free}; TotalCPUs = 4; ]')
+            for _ in range(2):
+                assert registry.snapshot() == {}
         assert len(caplog.records) == 1
-        atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 6; TotalCPUs = 4; ]')
-        for _ in range(3):
-            assert registry.snapshot() == {}
-    assert len(caplog.records) == 2
+        atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 4; TotalCPUs = 4; ]')
+        assert set(registry.snapshot()) == {"CE9"}
+        atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 5; TotalCPUs = 4; ]')
+        assert registry.snapshot() == {}
+        assert len(caplog.records) == 2  # valid, then invalid again
+        atomic_write_text(bad, '[ Id = "CE9"; Type = "CE"; FreeCPUs = 5; TotalCPUs = 0; ]')
+        assert registry.snapshot() == {}
+    assert len(caplog.records) == 3  # invalid in a new way
     assert all("ce9.ad" in r.getMessage() for r in caplog.records)
+    assert "TotalCPUs must be an integer >= 1" in caplog.records[2].getMessage()
 
 
 # -- gangmatching ----------------------------------------------------------------
