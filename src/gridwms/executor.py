@@ -430,7 +430,9 @@ class ExecutorService:
             ad = self._ce_ads.get(rid)
             if ad is None:
                 continue
-            updated = ad.with_attr("FreeCPUs", classad.Literal(Integer(ce.free_slots)))
+            # the registry rejects FreeCPUs > TotalCPUs, and Slots may exceed TotalCPUs
+            free = min(ce.free_slots, attr_value(ad, "totalcpus").value)
+            updated = ad.with_attr("FreeCPUs", classad.Literal(Integer(free)))
             atomic_write_text(self.spool.resources_live / f"{rid}.ad", updated.unparse())
 
     # -- main loop ----------------------------------------------------------------

@@ -21,6 +21,7 @@ import os
 import shlex
 import threading
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import classad
@@ -29,9 +30,10 @@ from .bookkeeping import (
     TERMINAL_STATES,
     BookkeepingStore,
     Event,
+    JobRecord,
     JobState,
 )
-from .broker import Broker, NoMatchingResourcesError, ResourceRegistry
+from .broker import Broker, NoMatchingResourcesError, ResourceEntry, ResourceRegistry
 from .classad import Integer, ListExpr, Literal, Text, attr_value
 from .errors import UnknownJobError, WmsError
 from .faults import crash_point
@@ -180,7 +182,6 @@ class WorkloadManager:
         self.stuck_after = stuck_after
         self.scan_interval = scan_interval
         self._dag_cache: dict[str, DagDescription | None] = {}
-        self._uncharged_skip: set[tuple[str, int]] = set()
         self._last_scan = 0.0
 
     # -- event helpers -----------------------------------------------------
@@ -410,15 +411,12 @@ class WorkloadManager:
 
     # -- scans ------------------------------------------------------------------
 
-    def abort_scan(self) -> int:
+    def abort_scan(self, records: Iterable[JobRecord]) -> int:
         """Resubmit aborted jobs that still have retry budget, excluding
         the CE where the failed attempt ran."""
         resubmitted = 0
-        for record in self.lb.records():
-            job_id = record.job
-            if record.state != JobState.ABORTED:
-                continue
-            if self._dag_for(job_id, record) is not None:
+        for record in records:
+            if record.state != JobState.ABORTED or self._dag_for(record.job, record) is not None:
                 continue
             try:
                 jd = validate_job(record.jdl)
@@ -427,34 +425,39 @@ class WorkloadManager:
             if record.attempt > jd.retry_count:
                 continue
             appended = self._wm_event(
-                job_id,
+                record.job,
                 _SSEQ_RESUBMIT_BASE + record.attempt,
                 "Resubmitted",
                 {"reason": "automatic reschedule after abort"},
             )
             if not appended:
                 continue
-            env, sandbox_source, sandbox_prefix = self._registered_context(record)
             jdl_text = record.jdl
             if record.destination:
                 ad = classad.parse_ad(jdl_text).with_attr(
                     "ExcludedCEs", ListExpr((Literal(Text(record.destination)),))
                 )
                 jdl_text = ad.unparse()
-            self.requests.enqueue(
-                {
-                    "kind": "submit",
-                    "job": job_id,
-                    "owner": record.owner,
-                    "jdl": jdl_text,
-                    "env": env,
-                    "sandbox_source": sandbox_source,
-                    "sandbox_prefix": sandbox_prefix,
-                }
-            )
+            self._requeue(record, jdl_text)
             resubmitted += 1
             crash_point("wm.after_resubmit_enqueue")
         return resubmitted
+
+    def _requeue(self, record: JobRecord, jdl_text: str) -> None:
+        """Ask for a new submit of `record`'s job with the context its
+        Registered event persisted."""
+        env, sandbox_source, sandbox_prefix = self._registered_context(record)
+        self.requests.enqueue(
+            {
+                "kind": "submit",
+                "job": record.job,
+                "owner": record.owner,
+                "jdl": jdl_text,
+                "env": env,
+                "sandbox_source": sandbox_source,
+                "sandbox_prefix": sandbox_prefix,
+            }
+        )
 
     # -- DAG engine ----------------------------------------------------------
 
@@ -474,9 +477,9 @@ class WorkloadManager:
         self._dag_cache[job_id] = dag
         return dag
 
-    def dag_scan(self) -> int:
+    def dag_scan(self, records: Iterable[JobRecord]) -> int:
         stepped = 0
-        for record in self.lb.records():
+        for record in records:
             job_id = record.job
             if record.state in TERMINAL_STATES:
                 continue
@@ -501,10 +504,11 @@ class WorkloadManager:
             if not node_id:
                 status[name] = "Idle"
                 continue
-            if not self.lb.exists(node_id):
+            try:
+                node_record = self.lb.job_record(node_id)
+            except UnknownJobError:
                 status[name] = "Assigned"  # tag written, registration lost in a crash
                 continue
-            node_record = self.lb.job_record(node_id)
             state = node_record.state
             if state == JobState.DONE_OK or state == JobState.CLEARED:
                 status[name] = "Done"
@@ -625,25 +629,25 @@ class WorkloadManager:
 
     # -- charging ------------------------------------------------------------
 
-    def charge_scan(self) -> int:
+    def charge_scan(self, records: Iterable[JobRecord]) -> int:
+        """Charge each finished attempt once, from one registry snapshot.
+        A DAG container, or a job on a CE with no price, is never charged."""
         charged = 0
-        for record in self.lb.records():
+        resources: dict[str, ResourceEntry] | None = None
+        for record in records:
             job_id = record.job
-            if record.state not in (JobState.DONE_OK, JobState.DONE_FAILED):
+            if record.state not in (JobState.DONE_OK, JobState.DONE_FAILED) or not record.destination:
                 continue
-            key = (job_id, record.attempt)
-            if key in self._uncharged_skip or self.ledger.has_charge(job_id, record.attempt):
+            if self.ledger.has_charge(job_id, record.attempt):
                 continue
-            if not record.destination:
-                self._uncharged_skip.add(key)  # e.g. DAG container jobs
-                continue
-            entry = self.registry.get(record.destination)
+            if resources is None:
+                resources = self.registry.snapshot()
+            entry = resources.get(record.destination)
             if entry is None:
                 continue  # resource not visible yet; retry next scan
             price = attr_value(entry.ad, "pricepercpusecond")
             group = attr_value(entry.ad, "ownergroup")
             if not isinstance(price, Integer) or not isinstance(group, Text) or not group.value:
-                self._uncharged_skip.add(key)
                 continue
             cpu = 0.0
             for ev in record.events:
@@ -704,7 +708,7 @@ class WorkloadManager:
                 continue
         return staged
 
-    def stuck_scan(self, min_age_ms: int | None = None) -> int:
+    def stuck_scan(self, records: Iterable[JobRecord], min_age_ms: int | None = None) -> int:
         """Re-drive non-terminal jobs that are in nobody's hands.
 
         A job is stuck when it sits in SUBMITTED/WAITING/READY with no
@@ -712,13 +716,14 @@ class WorkloadManager:
         and its newest event is older than the threshold.  A job whose
         declared input files are not all uploaded yet is held by the
         gateway, not stuck.  Rebuilding from queues plus bookkeeping alone
-        is what makes manager crashes harmless.
+        is what makes manager crashes harmless.  The queues and staged
+        files are read after `records`, so a job handed on since is pending.
         """
         threshold = self.stuck_after * 1000 if min_age_ms is None else min_age_ms
         now = now_ms()
         pending = None
         requeued = 0
-        for record in self.lb.records():
+        for record in records:
             job_id = record.job
             if record.state not in (JobState.SUBMITTED, JobState.WAITING, JobState.READY):
                 continue
@@ -731,24 +736,14 @@ class WorkloadManager:
                 pending = self._pending_job_ids() | self._staged_job_ids()
             if job_id in pending:
                 continue
-            env, sandbox_source, sandbox_prefix = self._registered_context(record)
+            _env, sandbox_source, sandbox_prefix = self._registered_context(record)
             try:
                 inputs = validate_job(record.jdl).input_sandbox
             except WmsError:
                 inputs = []
             if not self.spool.inputs_complete(sandbox_source or job_id, inputs, sandbox_prefix):
                 continue  # the gateway holds it until its input sandbox is uploaded
-            self.requests.enqueue(
-                {
-                    "kind": "submit",
-                    "job": job_id,
-                    "owner": record.owner,
-                    "jdl": record.jdl,
-                    "env": env,
-                    "sandbox_source": sandbox_source,
-                    "sandbox_prefix": sandbox_prefix,
-                }
-            )
+            self._requeue(record, record.jdl)
             requeued += 1
         return requeued
 
@@ -759,7 +754,7 @@ class WorkloadManager:
         re-drive orphaned jobs."""
         self.requests.recover_dead_owners()
         self.requests.recover_scan()
-        self.stuck_scan(min_age_ms=0)
+        self.stuck_scan(self.lb.records(), min_age_ms=0)
 
     def process_requests(self, batch: int = 8) -> int:
         handled = 0
@@ -773,10 +768,14 @@ class WorkloadManager:
         return handled
 
     def run_scans(self) -> None:
-        self.abort_scan()
-        self.dag_scan()
-        self.charge_scan()
-        self.stuck_scan()
+        """The four scans share one listing of the store.  They act on
+        disjoint states; a job that moves after the listing waits for the
+        next pass."""
+        records = list(self.lb.records())
+        self.abort_scan(records)
+        self.dag_scan(records)
+        self.charge_scan(records)
+        self.stuck_scan(records)
         self.requests.recover_scan()
 
     def tick(self) -> int:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 
 import pytest
 
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState
+from gridwms.broker import ResourceRegistry
+from gridwms.classad import Integer, attr_value
 from gridwms.executor import (
     AlreadyTerminalError,
     ExecutorService,
@@ -420,6 +423,18 @@ def test_heartbeat_publishes_free_slots(exec_spool):
     live = exec_spool.resources_live / "CE1.ad"
     assert live.exists()
     assert "FreeCPUs = 2" in live.read_text()
+
+
+def test_idle_heartbeat_is_accepted_when_slots_exceed_total_cpus(spool, caplog):
+    service = make_service(spool)  # default fixture: CE2 has Slots 3, TotalCPUs 2
+    service.heartbeat()
+    registry = ResourceRegistry(static_dir=spool.resources_static, live_dir=spool.resources_live)
+    with caplog.at_level(logging.WARNING, logger="gridwms.broker"):
+        resources = registry.snapshot()
+    assert not caplog.records
+    live = spool.resources_live / "CE2.ad"
+    assert resources["CE2"].last_update_ms == live.stat().st_mtime_ns // 1_000_000
+    assert attr_value(resources["CE2"].ad, "freecpus") == Integer(2)
 
 
 # -- log monitor -----------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+from collections import Counter
 
 import pytest
 
@@ -259,19 +260,19 @@ def test_abort_scan_resubmits_excluding_failed_ce(manager):
     manager.lb.log_event(Event("j14", "LogMonitor", 1, now_ms(), "Aborted",
                                {"reason": "worker lost", "destination": "CE1"}))
     assert manager.lb.job_record("j14").state == JobState.ABORTED
-    assert manager.abort_scan() == 1
+    assert manager.abort_scan(manager.lb.records()) == 1
     manager.process_requests()
     record = manager.lb.job_record("j14")
     assert record.attempt == 2
     assert record.destination == "CE2"  # CE1 excluded for this attempt
     # the scan does not resubmit twice
-    assert manager.abort_scan() == 0
+    assert manager.abort_scan(manager.lb.records()) == 0
 
 
 def test_abort_scan_respects_budget(manager):
     register(manager, "j15", '[ Executable = "/x"; ]')  # retryCount defaults to 0
     manager.lb.log_event(Event("j15", "LogMonitor", 1, now_ms(), "Aborted", {"reason": "x"}))
-    assert manager.abort_scan() == 0
+    assert manager.abort_scan(manager.lb.records()) == 0
     assert manager.lb.job_record("j15").state == JobState.ABORTED
 
 
@@ -292,8 +293,8 @@ def test_resubmit_from_state_carries_pairs(manager):
 def test_stuck_scan_requeues_orphaned_jobs(manager):
     register(manager, "j17", '[ Executable = "/x"; ]')
     # nobody enqueued a request (a crashed gateway): stuck scan re-drives
-    assert manager.stuck_scan(min_age_ms=0) == 1
-    assert manager.stuck_scan(min_age_ms=0) == 0  # now pending, not stuck
+    assert manager.stuck_scan(manager.lb.records(), min_age_ms=0) == 1
+    assert manager.stuck_scan(manager.lb.records(), min_age_ms=0) == 0  # now pending, not stuck
     manager.process_requests()
     assert manager.lb.job_record("j17").state == JobState.READY
 
@@ -317,6 +318,74 @@ def test_recover_drives_everything_found(manager):
     assert manager.lb.job_record("j18").state == JobState.READY
 
 
+def counted(monkeypatch, obj, name: str) -> list:
+    """Record the first argument of every call to `obj.name`."""
+    calls = []
+    original = getattr(obj, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, wrapper)
+    return calls
+
+
+def finished(manager: WorkloadManager, job: str, destination: str):
+    register(manager, job, '[ Executable = "/bin/true"; ]')
+    manager.lb.log_event(Event(job, "LogMonitor", 1, now_ms(), "Done",
+                               {"exitCode": "0", "cpuSeconds": "3", "destination": destination}))
+
+
+def test_scan_pass_lists_the_store_once(manager, monkeypatch):
+    register(manager, "dag7", '[ Type = "DAG"; Nodes = [ A = [ Executable = "/bin/true"; ]; '
+                              'B = [ Executable = "/bin/true"; ]; ]; Dependencies = { {"A", "B"} }; ]')
+    manager.run_scans()  # submits node A
+    node_done(manager, "dag7.a")
+    register(manager, "j-new", '[ Executable = "/x"; ]')
+    register(manager, "j-aborted", '[ Executable = "/x"; RetryCount = 1; ]')
+    manager.lb.log_event(Event("j-aborted", "LogMonitor", 1, now_ms(), "Aborted", {"reason": "x"}))
+    finished(manager, "j-done", "CE1")
+    expected = Counter(manager.lb.list_jobs())
+    expected["dag7.a"] += 1  # dag_scan looks up the DAG's node
+    list_calls = counted(monkeypatch, manager.lb, "list_jobs")
+    record_calls = counted(monkeypatch, manager.lb, "job_record")
+    manager.run_scans()
+    assert len(list_calls) == 1
+    assert Counter(record_calls) == expected
+    # and each scan still acted on the one listing
+    assert manager.lb.job_record("j-aborted").attempt == 2
+    assert manager.ledger.has_charge("j-done", 1)
+    assert manager.lb.job_record("dag7").user_tags.get("node:b") == "dag7.b"
+
+
+def test_charge_scan_takes_one_snapshot_per_pass(manager, monkeypatch):
+    jobs = [f"j-fin{i}" for i in range(3)]
+    for i, job in enumerate(jobs):
+        finished(manager, job, ("CE1", "CE2")[i % 2])
+    snapshots = counted(monkeypatch, manager.registry, "snapshot")
+    manager.run_scans()
+    assert len(snapshots) == 1
+    assert all(manager.ledger.has_charge(job, 1) for job in jobs)
+    manager.run_scans()  # nothing left to charge: no snapshot at all
+    assert len(snapshots) == 1
+
+
+def test_charge_scan_leaves_unpriced_and_undestined_jobs_uncharged(manager, wm_spool):
+    write_resource(wm_spool.root / "resources", "CE3", Status="Production", FreeCPUs=1,
+                   TotalCPUs=1, CloseSEs=[])  # no PricePerCpuSecond, no OwnerGroup
+    finished(manager, "j-free", "CE3")
+    finished(manager, "j-priced", "CE1")
+    register(manager, "dag8", '[ Type = "DAG"; Nodes = [ A = [ Executable = "/bin/true"; ]; ]; ]')
+    manager.lb.log_event(Event("dag8", "WM", 10, now_ms(), "Done", {"exitCode": "0"}))
+    for _ in range(2):
+        manager.run_scans()
+    assert manager.lb.job_record("dag8").state == JobState.DONE_OK
+    assert not manager.ledger.has_charge("j-free", 1)
+    assert not manager.ledger.has_charge("dag8", 1)
+    assert [e.job_id for e in manager.ledger.entries()] == ["j-priced"]
+
+
 def upload(core: GatewayCore, job: str, name: str, data: bytes = b"x") -> dict:
     return core.dispatch("sandbox-put", "alice", {"job": job, "name": name, "seq": 1, "eof": True,
                                                   "data": base64.b64encode(data).decode("ascii")})
@@ -329,7 +398,7 @@ def test_stuck_scan_leaves_job_held_for_its_sandbox(wm_spool):
                                                      'InputSandbox = {"in.bin"}; ]'})
     job = body["job"]
     assert body["held_for_sandbox"]
-    requeued = manager.stuck_scan(min_age_ms=0)  # what recover() runs at manager start
+    requeued = manager.stuck_scan(manager.lb.records(), min_age_ms=0)  # what recover() runs at manager start
     for _ in range(3):
         manager.process_requests()
     assert manager.lb.job_record(job).state == JobState.WAITING
@@ -380,7 +449,7 @@ def node_done(manager, node_id, exit_code="0"):
 
 def test_dag_submits_only_free_nodes(manager):
     register(manager, "dag1", DAG_JDL)
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     record = manager.lb.job_record("dag1")
     assert record.user_tags.get("node:a") == "dag1.a"
     assert "node:b" not in record.user_tags  # B waits for A
@@ -390,32 +459,32 @@ def test_dag_submits_only_free_nodes(manager):
 
 def test_dag_diamond_runs_d_last(manager):
     register(manager, "dag2", DAG_JDL)
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     node_done(manager, "dag2.a")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     record = manager.lb.job_record("dag2")
     assert {"node:b", "node:c"} <= set(record.user_tags)
     assert "node:d" not in record.user_tags
     node_done(manager, "dag2.b")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     assert "node:d" not in manager.lb.job_record("dag2").user_tags  # C not done yet
     node_done(manager, "dag2.c")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     assert manager.lb.job_record("dag2").user_tags.get("node:d") == "dag2.d"
     node_done(manager, "dag2.d")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     final = manager.lb.job_record("dag2")
     assert final.state == JobState.DONE_OK
 
 
 def test_dag_failed_node_makes_descendants_unreachable(manager):
     register(manager, "dag3", DAG_JDL)
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     node_done(manager, "dag3.a")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     node_done(manager, "dag3.b", exit_code="1")  # B fails
     node_done(manager, "dag3.c")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     record = manager.lb.job_record("dag3")
     assert "node:d" not in record.user_tags  # never submitted
     assert record.state == JobState.DONE_FAILED
@@ -424,17 +493,31 @@ def test_dag_failed_node_makes_descendants_unreachable(manager):
     assert summary == {"A": "Done", "B": "Failed", "C": "Done", "D": "Unreachable"}
 
 
+def test_dag_scan_resubmits_node_whose_registration_was_cut(manager):
+    register(manager, "dag6", '[ Type = "DAG"; Nodes = [ A = [ Executable = "/bin/true"; ]; ]; ]')
+    # a crash after the node's tag and after its events file was created,
+    # before its Registered line landed
+    manager.lb.log_event(Event("dag6", "WM", 64, now_ms(), "UserTag",
+                               {"name": "node:a", "value": "dag6.a"}))
+    empty = manager.lb._events_path("dag6.a")
+    empty.parent.mkdir(parents=True, exist_ok=True)
+    empty.touch()
+    manager.run_scans()
+    manager.process_requests()
+    assert manager.lb.job_record("dag6.a").state == JobState.READY
+
+
 def test_dag_lazy_binding_sees_registry_changes(manager, wm_spool):
     register(manager, "dag4", '[ Type = "DAG"; Nodes = [ A = [ Executable = "/bin/true"; ]; '
                               'B = [ Executable = "/bin/true"; ]; ]; Dependencies = { {"A", "B"} }; ]')
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     manager.process_requests()
     assert manager.lb.job_record("dag4.a").destination == "CE1"
     # the registry changes between A and B submissions
     write_resource(wm_spool.root / "resources", "CE1", Status="Draining", FreeCPUs=4,
                    TotalCPUs=4, OwnerGroup="physics", PricePerCpuSecond=2)
     node_done(manager, "dag4.a")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     manager.process_requests()
     assert manager.lb.job_record("dag4.b").destination == "CE2"  # matched on the new snapshot
 
@@ -446,10 +529,10 @@ def test_dag_aggregator_env_mapping(manager):
                               'Agg = [ Executable = "/bin/true"; ]; ]; '
                               'Dependencies = { {"N0", "Agg"}, {"N1", "Agg"} }; '
                               'Aggregator = "Agg"; ]')
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     node_done(manager, "dag5.n0")
     node_done(manager, "dag5.n1")
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     manager.process_requests()
     items = list(manager.executor_queue.iter_items())
     agg_items = [json.loads(p) for _s, _st, p in items
@@ -464,7 +547,7 @@ def test_partitionable_submit_becomes_dag(manager):
     register(manager, "part1", jdl)
     manager.requests.enqueue({"kind": "submit", "job": "part1", "owner": "alice", "jdl": jdl})
     manager.process_requests()
-    manager.dag_scan()
+    manager.dag_scan(manager.lb.records())
     record = manager.lb.job_record("part1")
     assert record.user_tags.get("node:n0") == "part1.n0"
     assert record.user_tags.get("node:n1") == "part1.n1"
