@@ -299,5 +299,8 @@ class Ledger:
         return sum(a.balance for a in self._accounts.values())
 
     def has_charge(self, job_id: str, attempt: int = 1) -> bool:
-        self._refresh()
+        """Answered from this instance's view, without reading the file:
+        charges are never removed, so a stale view can only say "not
+        charged", and charge_job refreshes under the lock before it
+        charges."""
         return (job_id, attempt) in self._charged

@@ -1,10 +1,12 @@
 """Resource broker: registry, matchmaking, ranking, pluggable strategies,
 and gangmatching over compute/storage element pairs.
 
-The broker is a Helper: resolve() maps a JDL text to the same JDL
-augmented with the chosen resource (SubmitTo, plus ChosenSE when
-gangmatched), so it plugs into the workload manager or any other caller
-through that single method.
+The broker is a Helper: resolve() maps a parsed job description to the
+same description augmented with the chosen resource (SubmitTo, plus
+ChosenSE when gangmatched), so it plugs into the workload manager or any
+other caller through that single method.  Each resolve reads the
+registry once: the match, the ranking, the gang pairs and the check that
+a given SubmitTo names a known CE all use that one snapshot.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +36,7 @@ from .classad import (
     references_scope,
 )
 from .errors import WmsError
-from .jdl import JobDescription, validate_job
+from .jdl import JobDescription, ValidationError, Violation
 from .util import now_ms
 
 log = logging.getLogger("gridwms.broker")
@@ -81,6 +83,7 @@ class MatchResult:
 
 # candidate tuples flowing through selection strategies
 Candidate = tuple[str, str | None, float]  # (ceId, seId, rank)
+Resources = dict[str, ResourceEntry]  # one registry snapshot, by Id
 StrategyFn = Callable[[list[Candidate], int | None], Candidate]
 
 
@@ -264,7 +267,7 @@ class Broker:
         """Plug in a selection strategy: fn(sorted_candidates, seed) -> candidate."""
         self._strategies[name.lower()] = fn
 
-    def _pick(self, candidates: list[Candidate], strategy: str | None, seed: int | None) -> Candidate:
+    def _match(self, candidates: list[Candidate], strategy: str | None, seed: int | None) -> MatchResult:
         name = (strategy or self.default_strategy).lower()
         if name == "economic":
             raise UnsupportedStrategyError("the 'economic' strategy is reserved and not supported")
@@ -274,21 +277,27 @@ class Broker:
         if not candidates:
             raise NoMatchingResourcesError("no matching resources")
         ordered = sorted(candidates, key=lambda c: (-c[2], c[0], c[1] or ""))
-        return fn(ordered, self.default_seed if seed is None else seed)
+        ce, se, rank = fn(ordered, self.default_seed if seed is None else seed)
+        return MatchResult(ce_id=ce, rank=rank, strategy=(strategy or self.default_strategy), se_id=se)
 
-    def _fresh(self, rtype: str, exclude: tuple[str, ...] = ()) -> list[ResourceEntry]:
+    def _fresh(self, resources: Resources, rtype: str, exclude: tuple[str, ...] = ()) -> list[ResourceEntry]:
+        """The fresh entries of one type in a snapshot, Id ascending."""
         now = now_ms()
         return [
             e
-            for e in self.registry.list_resources()
+            for _rid, e in sorted(resources.items())
             if e.type == rtype and e.fresh(self.ttl_seconds, now) and e.id not in exclude
         ]
 
     # -- plain matchmaking -------------------------------------------------
 
+    def _candidates(self, job: JobDescription, resources: Resources, exclude: tuple[str, ...]) -> list[Candidate]:
+        ces = self._fresh(resources, "CE", exclude)
+        return [(e.id, None, rank_of(job.ad, e.ad)) for e in ces if match_two(job.ad, e.ad)]
+
     def find_matches(self, job: JobDescription) -> list[str]:
         """All fresh CEs whose ad matches the job bilaterally, Id ascending."""
-        return [e.id for e in self._fresh("CE") if match_two(job.ad, e.ad)]
+        return [e.id for e in self._fresh(self.registry.snapshot(), "CE") if match_two(job.ad, e.ad)]
 
     def rank_matches(self, job: JobDescription, ce_ids: list[str]) -> list[tuple[str, float]]:
         """(ceId, rank) pairs sorted by rank descending, Id ascending on ties."""
@@ -304,20 +313,14 @@ class Broker:
         seed: int | None = None,
         exclude: tuple[str, ...] = (),
     ) -> MatchResult:
-        matches = [c for c in self.find_matches(job) if c not in exclude]
-        ranked = self.rank_matches(job, matches)
-        ce, se, rank = self._pick([(cid, None, r) for cid, r in ranked], strategy, seed)
-        return MatchResult(ce_id=ce, rank=rank, strategy=(strategy or self.default_strategy), se_id=se)
+        return self._match(self._candidates(job, self.registry.snapshot(), exclude), strategy, seed)
 
     # -- gangmatching ---------------------------------------------------------
 
-    def gang_candidates(self, job: JobDescription, exclude: tuple[str, ...] = ()) -> list[Candidate]:
-        """(ce, se, rank) for every close pair satisfying the job's
-        requirements evaluated with ce and se scopes bound."""
-        ces = self._fresh("CE", exclude)
-        ses = {e.id: e for e in self._fresh("SE")}
+    def _gang_candidates(self, job: JobDescription, resources: Resources, exclude: tuple[str, ...]) -> list[Candidate]:
+        ses = {e.id: e for e in self._fresh(resources, "SE")}
         out: list[Candidate] = []
-        for ce in ces:
+        for ce in self._fresh(resources, "CE", exclude):
             close = attr_value(ce.ad, "closeses")
             if not isinstance(close, ListValue):
                 continue
@@ -334,6 +337,11 @@ class Broker:
                 out.append((ce.id, se.id, rank))
         return out
 
+    def gang_candidates(self, job: JobDescription, exclude: tuple[str, ...] = ()) -> list[Candidate]:
+        """(ce, se, rank) for every close pair satisfying the job's
+        requirements evaluated with ce and se scopes bound."""
+        return self._gang_candidates(job, self.registry.snapshot(), exclude)
+
     def gang_match(
         self,
         job: JobDescription,
@@ -341,27 +349,25 @@ class Broker:
         seed: int | None = None,
         exclude: tuple[str, ...] = (),
     ) -> MatchResult:
-        ce, se, rank = self._pick(self.gang_candidates(job, exclude), strategy, seed)
-        return MatchResult(ce_id=ce, rank=rank, strategy=(strategy or self.default_strategy), se_id=se)
+        return self._match(self.gang_candidates(job, exclude), strategy, seed)
 
     # -- the Helper surface ------------------------------------------------------
 
-    def resolve(self, jdl_text: str) -> str:
-        """JDL in, JDL out: augment with the resource choice.
-
-        Already-resolved input (SubmitTo present) is returned unchanged.
-        NoMatchingResourcesError propagates as a structured failure; the
-        error is never encoded into the returned JDL text.
+    def resolve(self, job: JobDescription) -> JobDescription:
+        """Description in, description out: augment with the resource choice
+        made on one registry snapshot.  Already-resolved input is returned
+        unchanged if its SubmitTo names a CE there, and refused otherwise.
+        NoMatchingResourcesError propagates as a structured failure.
         """
-        job = validate_job(jdl_text)
+        resources = self.registry.snapshot()
         if job.submit_to:
-            return jdl_text
-        exclude = tuple(job.excluded_ces)
-        if references_scope(job.requirements, "se"):
-            result = self.gang_match(job, exclude=exclude)
-        else:
-            result = self.select_resource(job, exclude=exclude)
+            entry = resources.get(job.submit_to)
+            if entry is None or entry.type != "CE":
+                raise ValidationError([Violation("value", "SubmitTo", f"names no CE {job.submit_to!r}")])
+            return job
+        find = self._gang_candidates if references_scope(job.requirements, "se") else self._candidates
+        result = self._match(find(job, resources, tuple(job.excluded_ces)), None, None)
         ad = job.ad.with_attr("SubmitTo", Literal(Text(result.ce_id)))
         if result.se_id:
             ad = ad.with_attr("ChosenSE", Literal(Text(result.se_id)))
-        return ad.unparse()
+        return replace(job, ad=ad, submit_to=result.ce_id, chosen_se=result.se_id or job.chosen_se)

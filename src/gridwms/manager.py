@@ -1,9 +1,11 @@
 """Workload manager: the core request-dispatch component.
 
 Requests arrive on a filesystem queue from the gateway.  A submit runs
-the Helper chain -- the broker resolves the JDL to a resource choice,
-then the job adapter turns the resolved JDL into a submission descriptor
-with a concrete wrapper plan -- and the descriptor is enqueued for the
+the Helper chain on the job description parsed once from the request's
+JDL -- the broker resolves it to a resource choice against one registry
+snapshot, refusing a SubmitTo that names no known CE, then the job
+adapter turns the resolved description into a submission descriptor with
+a concrete wrapper plan -- and the descriptor is enqueued for the
 executor.  Independent scan activities drive automatic resubmission with
 checkpoint restart, DAG execution with lazy node binding, job
 partitioning, accounting charges, and recovery of jobs orphaned by
@@ -24,7 +26,6 @@ import time
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import classad
 from .accounting import Ledger
 from .bookkeeping import (
     TERMINAL_STATES,
@@ -38,11 +39,12 @@ from .classad import Integer, ListExpr, Literal, Text, attr_value
 from .errors import UnknownJobError, WmsError
 from .faults import crash_point
 from .filequeue import ACK, NACK, FileQueue, QueueItem
-from .jdl import DagDescription, ValidationError, Violation, validate_dag, validate_description, validate_job
+from .jdl import DagDescription, JobDescription, ValidationError, Violation
+from .jdl import validate_dag, validate_description, validate_job
 from .layout import SpoolLayout
 from .partition import partition_job
 from .submission import SubmissionDescriptor, WrapperPlan
-from .util import now_ms
+from .util import atomic_write_bytes, now_ms
 
 log = logging.getLogger("gridwms.manager")
 
@@ -75,21 +77,20 @@ class MissingSandboxFileError(WmsError):
 
 
 class JobAdapter:
-    """Helper mapping a resolved JDL to a submission descriptor.
+    """Helper mapping a resolved job description to a submission descriptor.
 
     Final touches before execution: wrapper command line, environment,
     sandbox manifests with concrete source paths, stdio routing, and the
     checkpoint restore pairs for attempts that resume from a saved state.
     """
 
-    def __init__(self, spool: SpoolLayout, registry: ResourceRegistry, gateway_addr: str | None = None):
+    def __init__(self, spool: SpoolLayout, gateway_addr: str | None = None):
         self.spool = spool
-        self.registry = registry
         self.gateway_addr = gateway_addr
 
     def resolve(
         self,
-        jdl_text: str,
+        jd: JobDescription,
         *,
         job_id: str,
         attempt: int = 1,
@@ -99,13 +100,8 @@ class JobAdapter:
         sandbox_source: str | None = None,
         sandbox_prefix: str | None = None,
     ) -> SubmissionDescriptor:
-        jd = validate_job(jdl_text)
         if not jd.submit_to:
             raise ValidationError([Violation("missing", "SubmitTo", "resolved JDL must carry SubmitTo")])
-        if self.registry.get(jd.submit_to) is None:
-            raise ValidationError(
-                [Violation("value", "SubmitTo", f"names unknown resource {jd.submit_to!r}")]
-            )
 
         env: dict[str, str] = {"WMS_JOB_ID": job_id, "WMS_USER": owner}
         if self.gateway_addr:
@@ -144,7 +140,7 @@ class JobAdapter:
             job_id=job_id,
             attempt=attempt,
             submit_to=jd.submit_to,
-            final_jdl=jdl_text,
+            final_jdl=jd.to_jdl(),
             plan=plan,
             owner=owner,
         )
@@ -173,7 +169,7 @@ class WorkloadManager:
             live_dir=spool.resources_live,
         )
         self.broker = Broker(self.registry, default_strategy=strategy, ttl_seconds=broker_ttl)
-        self.adapter = JobAdapter(spool, self.registry, gateway_addr)
+        self.adapter = JobAdapter(spool, gateway_addr)
         self.ledger = Ledger(spool.ledger_file, spool.accounts_file)
         self.owner = f"wm-{os.getpid()}"
         self.max_attempts = max_attempts
@@ -233,8 +229,7 @@ class WorkloadManager:
         crash_point("wm.after_settle")
 
     def _dead_letter(self, item: QueueItem, reason: str) -> None:
-        path = self.spool.dead_letter / f"request-{item.seq:016d}.json"
-        path.write_bytes(item.payload)
+        atomic_write_bytes(self.spool.dead_letter / f"request-{item.seq:016d}.json", item.payload)
         try:
             job_id = item.json().get("job")
         except ValueError:
@@ -264,8 +259,7 @@ class WorkloadManager:
         record = self.lb.job_record(job_id)
         if record.state in TERMINAL_STATES:
             return
-        jdl_text = payload.get("jdl") or record.jdl
-        jd = validate_job(jdl_text)
+        jd = validate_job(payload.get("jdl") or record.jdl)
         if jd.job_type == "Partitionable":
             # decomposed and driven by the DAG engine; nothing to stage here
             self._dag_cache.pop(job_id, None)
@@ -274,7 +268,7 @@ class WorkloadManager:
         env.update(payload.get("env") or {})
         self._run_pipeline(
             job_id,
-            jdl_text,
+            jd,
             record.owner or payload.get("owner", ""),
             item_seq,
             state_seq=None,
@@ -301,7 +295,7 @@ class WorkloadManager:
         env, sandbox_source, sandbox_prefix = self._registered_context(record)
         self._run_pipeline(
             job_id,
-            record.jdl,
+            validate_job(record.jdl),
             record.owner,
             item_seq,
             state_seq=int(state_seq) if state_seq is not None else None,
@@ -347,7 +341,7 @@ class WorkloadManager:
     def _run_pipeline(
         self,
         job_id: str,
-        jdl_text: str,
+        job: JobDescription,
         owner: str,
         item_seq: int,
         state_seq: int | None,
@@ -361,10 +355,10 @@ class WorkloadManager:
         attempt = record.attempt
         crash_point("wm.before_match")
 
-        resolved: str | None = None
+        resolved: JobDescription | None = None
         for i in range(self.match_retries):
             try:
-                resolved = self.broker.resolve(jdl_text)
+                resolved = self.broker.resolve(job)
                 break
             except NoMatchingResourcesError:
                 if i + 1 < self.match_retries:
@@ -378,10 +372,9 @@ class WorkloadManager:
             )
             return
 
-        rjd = validate_job(resolved)
-        matched_payload = {"destination": rjd.submit_to or ""}
-        if rjd.chosen_se:
-            matched_payload["se"] = rjd.chosen_se
+        matched_payload = {"destination": resolved.submit_to}
+        if resolved.chosen_se:
+            matched_payload["se"] = resolved.chosen_se
         self._wm_event(job_id, self._item_sseq(item_seq, _STAGE_MATCHED), "Matched", matched_payload)
         crash_point("wm.after_match")
 
@@ -432,13 +425,10 @@ class WorkloadManager:
             )
             if not appended:
                 continue
-            jdl_text = record.jdl
+            ad = jd.ad
             if record.destination:
-                ad = classad.parse_ad(jdl_text).with_attr(
-                    "ExcludedCEs", ListExpr((Literal(Text(record.destination)),))
-                )
-                jdl_text = ad.unparse()
-            self._requeue(record, jdl_text)
+                ad = ad.with_attr("ExcludedCEs", ListExpr((Literal(Text(record.destination)),)))
+            self._requeue(record, ad.unparse())
             resubmitted += 1
             crash_point("wm.after_resubmit_enqueue")
         return resubmitted

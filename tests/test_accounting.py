@@ -151,3 +151,13 @@ def test_cross_instance_visibility(tmp_path):
     b = Ledger(tmp_path / "ledger.log", tmp_path / "accounts.ad")
     a.transfer("group", "alice", 30)
     assert b.balance("alice") == 30  # second instance refreshes from the file
+
+
+def test_ledger_opened_before_another_charged_does_not_charge_again(tmp_path):
+    stale = make_ledger(tmp_path, {"group": ("Group", 0), "alice": ("User", 100)})
+    fresh = Ledger(tmp_path / "ledger.log", tmp_path / "accounts.ad")
+    entry = fresh.charge_job("job-1", "alice", "CE1", 3.0, 2, "group")
+    assert stale.charge_job("job-1", "alice", "CE1", 3.0, 2, "group") == entry
+    assert stale.has_charge("job-1", 1)
+    assert len(Ledger(tmp_path / "ledger.log").entries()) == 1
+    assert stale.balance("alice") == fresh.balance("alice") == 94

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import random
@@ -9,6 +10,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridwms import classad
 from gridwms.broker import (
@@ -19,8 +21,8 @@ from gridwms.broker import (
     ResourceRegistry,
     UnsupportedStrategyError,
 )
-from gridwms.classad import MatchContext, evaluate, match_two, parse_ad, parse_expr
-from gridwms.jdl import validate_job
+from gridwms.classad import MatchContext, evaluate, match_two, parse_ad, parse_expr, references_scope
+from gridwms.jdl import JobDescription, ValidationError, validate_job
 from gridwms.util import atomic_write_text, now_ms
 
 
@@ -352,7 +354,7 @@ def test_gang_match_agrees_with_pair_oracle_random():
 
 def test_resolve_adds_submit_to():
     broker = make_broker(ce_ad("CE1", free=4), ce_ad("CE2", free=0, total=2))
-    out = broker.resolve(JOB.to_jdl())
+    out = broker.resolve(JOB).to_jdl()
     resolved = validate_job(out)
     assert resolved.submit_to == "CE1"
     # output re-validates and reparses
@@ -361,19 +363,19 @@ def test_resolve_adds_submit_to():
 
 def test_resolve_idempotent_on_resolved_input():
     broker = make_broker(ce_ad("CE1"))
-    once = broker.resolve(JOB.to_jdl())
+    once = broker.resolve(JOB)
     assert broker.resolve(once) == once
 
 
 def test_resolve_structured_failure():
     broker = make_broker(ce_ad("CE1", free=0, total=2))
     with pytest.raises(NoMatchingResourcesError):
-        broker.resolve(JOB.to_jdl())
+        broker.resolve(JOB)
 
 
 def test_resolve_gangmatch_adds_chosen_se():
     broker = make_broker(ce_ad("CE1", free=4, close=("SE1",)), se_ad("SE1"))
-    resolved = validate_job(broker.resolve(GANG_JOB.to_jdl()))
+    resolved = validate_job(broker.resolve(GANG_JOB).to_jdl())
     assert resolved.submit_to == "CE1"
     assert resolved.chosen_se == "SE1"
 
@@ -381,8 +383,57 @@ def test_resolve_gangmatch_adds_chosen_se():
 def test_resolve_respects_excluded_ces():
     broker = make_broker(ce_ad("CE1", free=9, total=9), ce_ad("CE2", free=1))
     jdl = JOB.ad.with_attr("ExcludedCEs", parse_expr('{"CE1"}')).unparse()
-    resolved = validate_job(broker.resolve(jdl))
+    resolved = validate_job(broker.resolve(validate_job(jdl)).to_jdl())
     assert resolved.submit_to == "CE2"
+
+
+def test_resolve_refuses_submit_to_that_names_no_ce():
+    broker = make_broker(ce_ad("CE1", close=("SE1",)), se_ad("SE1"))
+    for target in ("SE1", "CE9"):
+        with pytest.raises(ValidationError, match="SubmitTo"):
+            broker.resolve(validate_job(f'[ Executable = "/x"; SubmitTo = "{target}"; ]'))
+
+
+_RESOLVE_REQS = [
+    "other.FreeCPUs > 0",
+    'other.FreeCPUs > 1 && other.Status == "Production"',
+    "other.FreeCPUs > 0 || other.TotalCPUs >= 8",
+    "se.AvailableSpace >= 500 && ce.FreeCPUs > 0",
+    'se.AvailableSpace >= 100 && ce.Status == "Production"',
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ces=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["Production", "Draining"]),
+                           st.sets(st.sampled_from(["SE1", "SE2"]))), max_size=6),
+    spaces=st.tuples(st.sampled_from([100, 600, 2000]), st.sampled_from([100, 600, 2000])),
+    req=st.sampled_from(_RESOLVE_REQS),
+    rank=st.sampled_from(["other.FreeCPUs", "-other.FreeCPUs", "0"]),
+    excluded=st.sets(st.integers(0, 5), max_size=2),
+)
+def test_resolve_returns_the_description_its_text_parses_to(ces, spaces, req, rank, excluded):
+    ads = [ce_ad(f"CE{i}", free=free, total=8, status=status, close=tuple(sorted(close)))
+           for i, (free, status, close) in enumerate(ces)]
+    broker = make_broker(*ads, se_ad("SE1", spaces[0]), se_ad("SE2", spaces[1]))
+    exclude = ", ".join(f'"CE{i}"' for i in sorted(excluded))
+    job = validate_job(f'[ Executable = "/x"; Requirements = {req}; Rank = {rank}; '
+                       f"ExcludedCEs = {{{exclude}}}; ]")
+    match = broker.gang_match if references_scope(job.requirements, "se") else broker.select_resource
+    try:
+        expected = match(job, exclude=tuple(job.excluded_ces))
+    except NoMatchingResourcesError:
+        with pytest.raises(NoMatchingResourcesError):
+            broker.resolve(job)
+        return
+    resolved = broker.resolve(job)
+    again = validate_job(resolved.to_jdl())
+    for field in dataclasses.fields(JobDescription):
+        if field.name == "ad":
+            assert resolved.ad.unparse() == again.ad.unparse()
+        else:
+            assert getattr(resolved, field.name) == getattr(again, field.name), field.name
+    assert (resolved.submit_to, resolved.chosen_se) == (expected.ce_id, expected.se_id)
 
 
 # -- oracle equivalence for plain matching -----------------------------------------

@@ -5,14 +5,20 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from collections import Counter
 
 import pytest
 
+from gridwms import broker as broker_module
+from gridwms import jdl as jdl_module
+from gridwms import manager as manager_module
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState, Query, QueryPredicate
+from gridwms.executor import ExecutorService
 from gridwms.gateway import GatewayCore
 from gridwms.jdl import ValidationError, validate_job
 from gridwms.layout import SpoolLayout
+from gridwms.logmonitor import LogMonitor
 from gridwms.manager import MissingSandboxFileError, WorkloadManager
 from gridwms.partition import (
     SubJobIncompleteError,
@@ -134,7 +140,7 @@ def test_merge_states_requires_complete_subjobs(wm_spool):
 
 
 def test_adapter_normal_job_plan(manager, wm_spool):
-    resolved = manager.broker.resolve('[ Executable = "/bin/echo"; Arguments = "a b"; ]')
+    resolved = manager.broker.resolve(validate_job('[ Executable = "/bin/echo"; Arguments = "a b"; ]'))
     desc = manager.adapter.resolve(resolved, job_id="j1", attempt=1, owner="alice")
     assert desc.submit_to == "CE1"
     assert desc.plan.command == ["/bin/echo", "a", "b"]
@@ -146,10 +152,10 @@ def test_adapter_normal_job_plan(manager, wm_spool):
 
 
 def test_adapter_interactive_env(manager):
-    resolved = manager.broker.resolve(
+    resolved = manager.broker.resolve(validate_job(
         '[ Executable = "/bin/cat"; JobType = "Interactive"; '
         'ListenerHost = "127.0.0.1"; ListenerPort = 45001; ]'
-    )
+    ))
     desc = manager.adapter.resolve(resolved, job_id="j2", attempt=1, owner="alice")
     assert desc.plan.env["WMS_LISTENER_HOST"] == "127.0.0.1"
     assert desc.plan.env["WMS_LISTENER_PORT"] == "45001"
@@ -157,17 +163,17 @@ def test_adapter_interactive_env(manager):
 
 
 def test_adapter_step_bounds_env(manager):
-    resolved = manager.broker.resolve(
+    resolved = manager.broker.resolve(validate_job(
         '[ Executable = "/x"; JobType = "Checkpointable"; JobSteps = 3; '
         "StepFirst = 4; StepLast = 7; ]"
-    )
+    ))
     desc = manager.adapter.resolve(resolved, job_id="j3", attempt=1, owner="alice")
     assert desc.plan.env["WMS_STEP_FIRST"] == "4"
     assert desc.plan.env["WMS_STEP_LAST"] == "7"
 
 
 def test_adapter_missing_sandbox_file(manager):
-    resolved = manager.broker.resolve('[ Executable = "prog"; InputSandbox = {"prog"}; ]')
+    resolved = manager.broker.resolve(validate_job('[ Executable = "prog"; InputSandbox = {"prog"}; ]'))
     with pytest.raises(MissingSandboxFileError):
         manager.adapter.resolve(resolved, job_id="j4", attempt=1, owner="alice")
 
@@ -176,7 +182,7 @@ def test_adapter_checkpoint_pairs_round_trip_through_store(manager):
     register(manager, "j5", '[ Executable = "/x"; ]')
     manager.lb.save_state("j5", [("step", "3"), ("sum", "6")])
     pairs = manager.lb.get_state("j5")
-    resolved = manager.broker.resolve('[ Executable = "/x"; ]')
+    resolved = manager.broker.resolve(validate_job('[ Executable = "/x"; ]'))
     desc = manager.adapter.resolve(resolved, job_id="j5", attempt=2, owner="alice",
                                    checkpoint_pairs=pairs)
     assert desc.plan.checkpoint_pairs == [["step", "3"], ["sum", "6"]]
@@ -241,6 +247,59 @@ def test_malformed_request_dead_letters_with_refused(manager):
     record = manager.lb.job_record("j12")
     assert record.state == JobState.ABORTED  # Refused maps to ABORTED
     assert any(e.kind == "Refused" for e in record.events)
+
+
+def test_dead_letter_is_durable_before_the_request_is_acked(manager, monkeypatch):
+    register(manager, "j-dl", '[ Executable = "/x"; ]')
+    manager.requests.enqueue({"kind": "submit", "job": "j-dl", "owner": "alice",
+                              "jdl": "[ this is not jdl"})
+    for _ in range(manager.max_attempts - 1):
+        manager.handle_request(manager.requests.claim(manager.owner))  # nacked
+    item = manager.requests.claim(manager.owner)
+    ops = []
+    fsync, rename, unlink = os.fsync, os.rename, os.unlink
+
+    def recorded(op, fn, path_of):
+        def wrapper(*args, **kwargs):
+            ops.append((op, *path_of(*args)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(os, op, wrapper)
+
+    recorded("fsync", fsync, lambda fd: (os.readlink(f"/proc/self/fd/{fd}"),))
+    recorded("rename", rename, lambda src, dst: (os.path.realpath(src), os.path.realpath(dst)))
+    recorded("unlink", unlink, lambda path: (os.path.realpath(path),))
+    manager.handle_request(item)  # dead-lettered and acked
+    monkeypatch.undo()
+    [dead] = manager.spool.dead_letter.iterdir()
+    dead = os.path.realpath(dead)
+    acked = [i for i, op in enumerate(ops) if op[0] == "unlink" and ".claimed." in op[1]]
+    placed = [i for i, op in enumerate(ops) if op[0] == "rename" and op[2] == dead]
+    assert len(acked) == 1 and len(placed) == 1
+    tmp = ops[placed[0]][1]
+    assert ("fsync", tmp) in ops[: placed[0]]  # the record's bytes, then its name,
+    assert ("fsync", os.path.dirname(dead)) in ops[placed[0] : acked[0]]  # before the ack
+    with open(dead, "rb") as fh:
+        assert json.loads(fh.read())["job"] == "j-dl"
+
+
+def test_submit_to_a_storage_element_is_refused_not_retried(wm_spool):
+    core = GatewayCore(wm_spool)
+    manager = WorkloadManager(wm_spool, match_retries=1, stuck_after=0.0)
+    executor = ExecutorService(wm_spool, fake_cpu_seconds=0.1)
+    monitor = LogMonitor(wm_spool)
+    job = core.dispatch("submit", "alice", {"jdl": '[ Executable = "/bin/true"; SubmitTo = "SE1"; ]'})["job"]
+    for _ in range(2 * manager.max_attempts):
+        manager.process_requests()
+        executor.tick()
+        monitor.tick()
+        manager.run_scans()
+    record = manager.lb.job_record(job)
+    kinds = [e.kind for e in record.events]
+    assert record.state == JobState.ABORTED
+    assert kinds.count("Refused") == 1
+    assert "Matched" not in kinds and "Staged" not in kinds
+    assert len(list(wm_spool.dead_letter.iterdir())) == 1
+    assert manager.requests.pending_count() == 0
 
 
 def test_cancel_pre_executor_job(manager):
@@ -369,6 +428,48 @@ def test_charge_scan_takes_one_snapshot_per_pass(manager, monkeypatch):
     assert all(manager.ledger.has_charge(job, 1) for job in jobs)
     manager.run_scans()  # nothing left to charge: no snapshot at all
     assert len(snapshots) == 1
+
+
+def test_pass_over_charged_jobs_does_not_read_the_ledger(manager, monkeypatch):
+    jobs = [f"j-paid{i}" for i in range(4)]
+    for job in jobs:
+        finished(manager, job, "CE1")
+    manager.run_scans()
+    assert all(manager.ledger.has_charge(job, 1) for job in jobs)
+    refreshes = counted(monkeypatch, manager.ledger, "_refresh")
+    manager.run_scans()
+    assert refreshes == []
+    assert len(manager.ledger.entries()) == len(jobs)
+
+
+def validate_calls(monkeypatch) -> list:
+    """Record every validate_job call made by the manager or the broker."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return jdl_module.validate_job(*args, **kwargs)
+
+    for module in (manager_module, broker_module):
+        monkeypatch.setattr(module, "validate_job", wrapper, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("jdl", [
+    '[ Executable = "/bin/true"; ]',
+    '[ Executable = "/bin/true"; Requirements = se.AvailableSpace >= 500 && ce.FreeCPUs > 0; ]',
+], ids=["plain", "gang"])
+def test_submit_request_parses_once_and_reads_the_registry_once(manager, monkeypatch, jdl):
+    register(manager, "j-once", jdl)
+    manager.requests.enqueue({"kind": "submit", "job": "j-once", "owner": "alice", "jdl": jdl})
+    item = manager.requests.claim(manager.owner)
+    snapshots = counted(monkeypatch, manager.registry, "snapshot")
+    parses = validate_calls(monkeypatch)
+    manager.handle_request(item)
+    assert len(snapshots) == 1
+    assert parses == [jdl]
+    assert manager.lb.job_record("j-once").state == JobState.READY
+    assert manager.executor_queue.pending_count() == 1
 
 
 def test_charge_scan_leaves_unpriced_and_undestined_jobs_uncharged(manager, wm_spool):
