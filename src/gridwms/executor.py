@@ -294,6 +294,14 @@ class ExecutorService:
     def _abort(self, job: StagedJob, reason: str) -> None:
         self._finish(job, "Aborted", {"reason": reason})
 
+    def _refuse(self, descriptor: SubmissionDescriptor, reason: str) -> None:
+        """Close an attempt that `stage` rejected with a terminal record, so
+        the job leaves READY and a re-delivery of it is absorbed."""
+        handle = descriptor.idem_key
+        log.warning("refusing attempt %s: %s", handle, reason)
+        self.job_log.append(handle, descriptor.job_id, "Aborted", {"reason": reason, "ceId": descriptor.submit_to})
+        self.finished.add(handle)
+
     def _finish(self, job: StagedJob, kind: str, data: dict) -> None:
         handle = job.handle
         ce = self.ces.get(job.descriptor.submit_to)
@@ -409,8 +417,12 @@ class ExecutorService:
                 continue
             try:
                 if payload["type"] == "run":
-                    # a duplicate of a finished attempt is absorbed by both calls
-                    self.commit(self.stage(SubmissionDescriptor.from_dict(payload["descriptor"])))
+                    descriptor = SubmissionDescriptor.from_dict(payload["descriptor"])
+                    try:
+                        # a duplicate of a finished attempt is absorbed by both calls
+                        self.commit(self.stage(descriptor))
+                    except WmsError as exc:
+                        self._refuse(descriptor, str(exc))
                 else:
                     self.cancel_job(str(payload.get("job", "")))
                 self.queue.settle(item.seq, ACK)

@@ -95,6 +95,12 @@ class GatewayCore:
         if record.owner != user:
             raise UnauthorizedError(f"job {record.job} belongs to {record.owner!r}")
 
+    def _release(self, kind: str, job_id: str) -> None:
+        """Hand a registered job to the manager: the request names it, and
+        the manager reads the rest from its record."""
+        self.requests.enqueue({"kind": kind, "job": job_id})
+        crash_point("gateway.after_enqueue")
+
     def _maybe_release(self, job_id: str) -> bool:
         """Enqueue the held request once every declared input file exists.
 
@@ -117,15 +123,7 @@ class GatewayCore:
                     return False  # already enqueued
             except (ValueError, UnicodeDecodeError):
                 continue
-        self.requests.enqueue(
-            {
-                "kind": "submit_dag" if isinstance(desc, DagDescription) else "submit",
-                "job": job_id,
-                "owner": record.owner,
-                "jdl": record.jdl,
-            }
-        )
-        crash_point("gateway.after_enqueue")
+        self._release("submit_dag" if isinstance(desc, DagDescription) else "submit", job_id)
         return True
 
     # -- commands ---------------------------------------------------------------
@@ -172,7 +170,7 @@ class GatewayCore:
         job_id = self._register(user, jd.to_jdl(), jd.user_tags)
         held = bool(jd.input_sandbox)
         if not held:
-            self._maybe_release(job_id)
+            self._release("submit", job_id)
         return {
             "job": job_id,
             "held_for_sandbox": held,
@@ -187,7 +185,7 @@ class GatewayCore:
         job_id = self._register(user, dag.to_jdl())
         held = bool(dag.input_sandbox)
         if not held:
-            self._maybe_release(job_id)
+            self._release("submit_dag", job_id)
         return {"job": job_id, "held_for_sandbox": held}
 
     def cmd_cancel(self, user: str, args: dict) -> dict:
@@ -195,7 +193,7 @@ class GatewayCore:
         self._require_owner(record, user)
         if record.state in TERMINAL_STATES:
             raise BadRequestError(f"job {record.job} is already {record.state.value}")
-        self.requests.enqueue({"kind": "cancel", "job": record.job, "owner": user})
+        self.requests.enqueue({"kind": "cancel", "job": record.job})
         return {}
 
     def cmd_resubmit(self, user: str, args: dict) -> dict:
@@ -203,15 +201,9 @@ class GatewayCore:
         self._require_owner(record, user)
         state_seq = args.get("from_state")
         if state_seq is not None:
-            self.lb.get_state(record.job, int(state_seq))  # validate now
-        self.requests.enqueue(
-            {
-                "kind": "resubmit_from_state",
-                "job": record.job,
-                "owner": user,
-                "state_seq": int(state_seq) if state_seq is not None else None,
-            }
-        )
+            state_seq = int(state_seq)
+            self.lb.get_state(record.job, state_seq)  # validate now
+        self.requests.enqueue({"kind": "resubmit_from_state", "job": record.job, "state_seq": state_seq})
         return {}
 
     def cmd_status(self, user: str, args: dict) -> dict:

@@ -1,17 +1,24 @@
 """Workload manager: the core request-dispatch component.
 
-Requests arrive on a filesystem queue from the gateway.  A submit runs
-the Helper chain on the job description parsed once from the request's
-JDL -- the broker resolves it to a resource choice against one registry
-snapshot, refusing a SubmitTo that names no known CE, then the job
-adapter turns the resolved description into a submission descriptor with
-a concrete wrapper plan -- and the descriptor is enqueued for the
-executor.  Independent scan activities drive automatic resubmission with
-checkpoint restart, DAG execution with lazy node binding, job
-partitioning, accounting charges, and recovery of jobs orphaned by
-crashes.  All coordination state lives in the bookkeeping store and the
-queues; the manager itself can be killed at any boundary and rebuilt
-from those alone.
+Requests arrive on a filesystem queue from the gateway, and each one
+only names a job: `{"kind": "submit"|"submit_dag"|"cancel", "job"}` or
+`{"kind": "resubmit_from_state", "job", "state_seq"}`.  The job's JDL,
+owner, environment and sandbox routing are read from its bookkeeping
+record, whose Registered event holds them.  A submit runs the Helper
+chain on the job description parsed once from that JDL -- the broker
+resolves it to a resource choice against one registry snapshot, refusing
+a SubmitTo that names no known CE, then the job adapter turns the
+resolved description into a submission descriptor with a concrete
+wrapper plan -- and the descriptor is enqueued for the executor.  The CE
+that an automatic resubmission excludes is named on the Resubmitted event
+that opened the attempt, so a request re-driven after a crash excludes it
+too.
+Independent scan activities drive automatic resubmission with checkpoint
+restart, DAG execution with lazy node binding, job partitioning,
+accounting charges, and recovery of jobs orphaned by crashes.  All
+coordination state lives in the bookkeeping store and the queues; the
+manager itself can be killed at any boundary and rebuilt from those
+alone.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import shlex
 import threading
 import time
 from collections.abc import Iterable
+from dataclasses import replace
 from pathlib import Path
 
 from .accounting import Ledger
@@ -240,8 +248,8 @@ class WorkloadManager:
             )
 
     def _registered_context(self, record) -> tuple[dict[str, str], str | None, str | None]:
-        """Extra submission context persisted in the Registered payload so
-        crash-driven re-enqueues keep node environment and sandbox routing."""
+        """The environment and sandbox routing that the Registered payload
+        holds beside the JDL and owner (a DAG node's)."""
         for ev in record.events:
             if ev.kind == "Registered":
                 env = {}
@@ -255,27 +263,20 @@ class WorkloadManager:
         return {}, None, None
 
     def _handle_submit(self, payload: dict, item_seq: int) -> None:
-        job_id = payload["job"]
-        record = self.lb.job_record(job_id)
+        record = self.lb.job_record(payload["job"])
         if record.state in TERMINAL_STATES:
             return
-        jd = validate_job(payload.get("jdl") or record.jdl)
+        jd = validate_job(record.jdl)
         if jd.job_type == "Partitionable":
-            # decomposed and driven by the DAG engine; nothing to stage here
-            self._dag_cache.pop(job_id, None)
-            return
-        env, sandbox_source, sandbox_prefix = self._registered_context(record)
-        env.update(payload.get("env") or {})
-        self._run_pipeline(
-            job_id,
-            jd,
-            record.owner or payload.get("owner", ""),
-            item_seq,
-            state_seq=None,
-            extra_env=env,
-            sandbox_source=payload.get("sandbox_source") or sandbox_source,
-            sandbox_prefix=payload.get("sandbox_prefix") or sandbox_prefix,
-        )
+            return  # decomposed and driven by the DAG engine; nothing to stage here
+        # the Resubmitted event that opened this attempt names the CE it must avoid
+        opened = next((ev for ev in reversed(record.events) if ev.kind == "Resubmitted"), None)
+        exclude = opened.payload.get("exclude") if opened else None
+        if exclude and exclude not in jd.excluded_ces:
+            excluded = [*jd.excluded_ces, exclude]
+            ad = jd.ad.with_attr("ExcludedCEs", ListExpr(tuple(Literal(Text(ce)) for ce in excluded)))
+            jd = replace(jd, ad=ad, excluded_ces=excluded)
+        self._run_pipeline(record, jd, item_seq, state_seq=None)
 
     def _handle_resubmit(self, payload: dict, item_seq: int) -> None:
         job_id = payload["job"]
@@ -284,7 +285,8 @@ class WorkloadManager:
             return
         state_seq = payload.get("state_seq")
         if state_seq is not None:
-            self.lb.get_state(job_id, int(state_seq))  # fail fast on a bad seq
+            state_seq = int(state_seq)
+            self.lb.get_state(job_id, state_seq)  # fail fast on a bad seq
         self._wm_event(
             job_id,
             _SSEQ_RESUBMIT_BASE + record.attempt,
@@ -292,17 +294,7 @@ class WorkloadManager:
             {"reason": "explicit resubmit"},
         )
         record = self.lb.job_record(job_id)
-        env, sandbox_source, sandbox_prefix = self._registered_context(record)
-        self._run_pipeline(
-            job_id,
-            validate_job(record.jdl),
-            record.owner,
-            item_seq,
-            state_seq=int(state_seq) if state_seq is not None else None,
-            extra_env=env,
-            sandbox_source=sandbox_source,
-            sandbox_prefix=sandbox_prefix,
-        )
+        self._run_pipeline(record, validate_job(record.jdl), item_seq, state_seq)
 
     def _handle_cancel(self, payload: dict, item_seq: int) -> None:
         job_id = payload["job"]
@@ -331,28 +323,14 @@ class WorkloadManager:
         record = self.lb.job_record(job_id)
         if record.state in TERMINAL_STATES:
             return
-        validate_dag(payload.get("jdl") or record.jdl)  # protocol re-check
-        self._dag_cache.pop(job_id, None)
+        validate_dag(record.jdl)  # protocol re-check
         # node scheduling happens in the dag scan; the request only has to
         # be well-formed and acknowledged
 
     # -- the submit pipeline ------------------------------------------------
 
-    def _run_pipeline(
-        self,
-        job_id: str,
-        job: JobDescription,
-        owner: str,
-        item_seq: int,
-        state_seq: int | None,
-        extra_env: dict[str, str] | None,
-        sandbox_source: str | None,
-        sandbox_prefix: str | None,
-    ) -> None:
-        record = self.lb.job_record(job_id)
-        if record.state in TERMINAL_STATES:
-            return
-        attempt = record.attempt
+    def _run_pipeline(self, record: JobRecord, job: JobDescription, item_seq: int, state_seq: int | None) -> None:
+        job_id, attempt = record.job, record.attempt
         crash_point("wm.before_match")
 
         resolved: JobDescription | None = None
@@ -384,13 +362,14 @@ class WorkloadManager:
         elif attempt > 1 and record.checkpoint_states:
             pairs = record.checkpoint_states[-1][1]
 
+        env, sandbox_source, sandbox_prefix = self._registered_context(record)
         descriptor = self.adapter.resolve(
             resolved,
             job_id=job_id,
             attempt=attempt,
-            owner=owner,
+            owner=record.owner,
             checkpoint_pairs=pairs,
-            extra_env=extra_env,
+            extra_env=env,
             sandbox_source=sandbox_source,
             sandbox_prefix=sandbox_prefix,
         )
@@ -405,49 +384,29 @@ class WorkloadManager:
     # -- scans ------------------------------------------------------------------
 
     def abort_scan(self, records: Iterable[JobRecord]) -> int:
-        """Resubmit aborted jobs that still have retry budget, excluding
-        the CE where the failed attempt ran."""
+        """Resubmit aborted jobs that still have retry budget.  The
+        Resubmitted event names the CE where the failed attempt ran, which
+        the new attempt's submit excludes.  A DAG is not a job ad, and a
+        Partitionable job's nodes retry on their own."""
         resubmitted = 0
         for record in records:
-            if record.state != JobState.ABORTED or self._dag_for(record.job, record) is not None:
+            if record.state != JobState.ABORTED:
                 continue
             try:
                 jd = validate_job(record.jdl)
             except WmsError:
                 continue
-            if record.attempt > jd.retry_count:
+            if jd.job_type == "Partitionable" or record.attempt > jd.retry_count:
                 continue
-            appended = self._wm_event(
-                record.job,
-                _SSEQ_RESUBMIT_BASE + record.attempt,
-                "Resubmitted",
-                {"reason": "automatic reschedule after abort"},
-            )
-            if not appended:
-                continue
-            ad = jd.ad
+            payload = {"reason": "automatic reschedule after abort"}
             if record.destination:
-                ad = ad.with_attr("ExcludedCEs", ListExpr((Literal(Text(record.destination)),)))
-            self._requeue(record, ad.unparse())
+                payload["exclude"] = record.destination
+            if not self._wm_event(record.job, _SSEQ_RESUBMIT_BASE + record.attempt, "Resubmitted", payload):
+                continue
+            self.requests.enqueue({"kind": "submit", "job": record.job})
             resubmitted += 1
             crash_point("wm.after_resubmit_enqueue")
         return resubmitted
-
-    def _requeue(self, record: JobRecord, jdl_text: str) -> None:
-        """Ask for a new submit of `record`'s job with the context its
-        Registered event persisted."""
-        env, sandbox_source, sandbox_prefix = self._registered_context(record)
-        self.requests.enqueue(
-            {
-                "kind": "submit",
-                "job": record.job,
-                "owner": record.owner,
-                "jdl": jdl_text,
-                "env": env,
-                "sandbox_source": sandbox_source,
-                "sandbox_prefix": sandbox_prefix,
-            }
-        )
 
     # -- DAG engine ----------------------------------------------------------
 
@@ -472,6 +431,7 @@ class WorkloadManager:
         for record in records:
             job_id = record.job
             if record.state in TERMINAL_STATES:
+                self._dag_cache.pop(job_id, None)  # no scan asks about a finished job again
                 continue
             dag = self._dag_for(job_id, record)
             if dag is None:
@@ -604,17 +564,7 @@ class WorkloadManager:
                 )
         except UnknownJobError:  # pragma: no cover - Registered precedes
             pass
-        self.requests.enqueue(
-            {
-                "kind": "submit",
-                "job": node_id,
-                "owner": record.owner,
-                "jdl": node_jd.to_jdl(),
-                "env": extra_env,
-                "sandbox_source": dag_id,
-                "sandbox_prefix": name.lower(),
-            }
-        )
+        self.requests.enqueue({"kind": "submit", "job": node_id})
         crash_point("wm.after_node_enqueue")
 
     # -- charging ------------------------------------------------------------
@@ -733,7 +683,7 @@ class WorkloadManager:
                 inputs = []
             if not self.spool.inputs_complete(sandbox_source or job_id, inputs, sandbox_prefix):
                 continue  # the gateway holds it until its input sandbox is uploaded
-            self._requeue(record, record.jdl)
+            self.requests.enqueue({"kind": "submit", "job": job_id})
             requeued += 1
         return requeued
 

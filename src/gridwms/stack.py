@@ -18,7 +18,7 @@ from .executor import ExecutorService
 from .gateway import DEFAULT_PORT, GatewayCore, GatewayServer
 from .layout import SpoolLayout
 from .logmonitor import LogMonitor
-from .manager import WorkloadManager
+from .manager import DEFAULT_MATCH_RETRIES, DEFAULT_STUCK_AFTER, WorkloadManager
 
 log = logging.getLogger("gridwms.stack")
 
@@ -31,8 +31,8 @@ class Stack:
         port: int = 0,
         resources_dir: Path | str | None = None,
         fake_cpu_seconds: float | None = None,
-        match_retries: int = 3,
-        stuck_after: float = 30.0,
+        match_retries: int = DEFAULT_MATCH_RETRIES,
+        stuck_after: float = DEFAULT_STUCK_AFTER,
         strategy: str = "best",
     ):
         self.spool = SpoolLayout(Path(spool)).ensure()

@@ -21,7 +21,7 @@ from gridwms.executor import (
 from gridwms.layout import SpoolLayout
 from gridwms.logmonitor import LogMonitor, tail_and_translate
 from gridwms.submission import SubmissionDescriptor, WrapperPlan
-from gridwms.util import append_line
+from gridwms.util import append_line, read_json_lines
 
 from conftest import write_resource
 
@@ -450,6 +450,25 @@ def lb_with_job(spool: SpoolLayout, job="job-1") -> BookkeepingStore:
 def append_log(spool: SpoolLayout, kind: str, job="job-1", handle="h-1", ts=None, **data):
     record = {"ts": ts or 5000, "handle": handle, "jobId": job, "kind": kind, "data": data}
     append_line(spool.executor_log, json.dumps(record))
+
+
+def test_descriptor_for_an_unknown_ce_aborts_its_job(exec_spool):
+    store = lb_with_job(exec_spool)
+    store.log_event(Event("job-1", "WM", 1, 2000, "Matched", {"destination": "CE9"}))
+    assert store.job_record("job-1").state == JobState.READY
+    service = make_service(exec_spool)
+    item = {"type": "run", "descriptor": descriptor(exec_spool, ce="CE9").as_dict()}
+    service.queue.enqueue(item)
+    service.tick()
+    LogMonitor(exec_spool).tick()
+    record = BookkeepingStore(exec_spool.lb_root).job_record("job-1")
+    assert record.state == JobState.ABORTED
+    assert record.destination == "CE9"
+    assert "unknown CE" in next(e for e in record.events if e.kind == "Aborted").payload["reason"]
+    service.queue.enqueue(item)  # a re-delivery is absorbed
+    service.tick()
+    assert [r["kind"] for r in read_json_lines(exec_spool.executor_log)] == ["Aborted"]
+    assert service.queue.pending_count() == 0
 
 
 def test_tail_translates_kinds(exec_spool):

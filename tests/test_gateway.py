@@ -97,8 +97,9 @@ def test_validation_gate_queue_audit(gw):
     from gridwms.jdl import validate_job
     queued = [json.loads(p) for _s, _st, p in FileQueue(layout.wm_requests).iter_items()]
     assert len(queued) == len(good)
+    store = BookkeepingStore(layout.lb_root)
     for item in queued:
-        validate_job(item["jdl"])  # must not raise
+        validate_job(store.job_record(item["job"]).jdl)  # must not raise
 
 
 def test_job_with_custom_nodes_attribute_routes_as_plain_submit(gw):

@@ -15,6 +15,7 @@ from gridwms import jdl as jdl_module
 from gridwms import manager as manager_module
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState, Query, QueryPredicate
 from gridwms.executor import ExecutorService
+from gridwms.filequeue import ACK
 from gridwms.gateway import GatewayCore
 from gridwms.jdl import ValidationError, validate_job
 from gridwms.layout import SpoolLayout
@@ -236,9 +237,8 @@ def test_submit_unmatchable_aborts_with_reason(manager):
 
 
 def test_malformed_request_dead_letters_with_refused(manager):
-    register(manager, "j12", '[ Executable = "/x"; ]')
-    manager.requests.enqueue({"kind": "submit", "job": "j12", "owner": "alice",
-                              "jdl": "[ this is not jdl"})
+    register(manager, "j12", "[ this is not jdl")
+    manager.requests.enqueue({"kind": "submit", "job": "j12"})
     for _ in range(manager.max_attempts + 1):
         manager.process_requests()
     assert manager.requests.pending_count() == 0
@@ -250,9 +250,8 @@ def test_malformed_request_dead_letters_with_refused(manager):
 
 
 def test_dead_letter_is_durable_before_the_request_is_acked(manager, monkeypatch):
-    register(manager, "j-dl", '[ Executable = "/x"; ]')
-    manager.requests.enqueue({"kind": "submit", "job": "j-dl", "owner": "alice",
-                              "jdl": "[ this is not jdl"})
+    register(manager, "j-dl", "[ this is not jdl")
+    manager.requests.enqueue({"kind": "submit", "job": "j-dl"})
     for _ in range(manager.max_attempts - 1):
         manager.handle_request(manager.requests.claim(manager.owner))  # nacked
     item = manager.requests.claim(manager.owner)
@@ -326,6 +325,34 @@ def test_abort_scan_resubmits_excluding_failed_ce(manager):
     assert record.destination == "CE2"  # CE1 excluded for this attempt
     # the scan does not resubmit twice
     assert manager.abort_scan(manager.lb.records()) == 0
+
+
+def test_resubmit_lost_in_a_crash_still_excludes_the_failed_ce(wm_spool, monkeypatch):
+    manager = WorkloadManager(wm_spool, match_retries=1)
+    register(manager, "j-lost", '[ Executable = "/x"; RetryCount = 1; ]')
+    manager.requests.enqueue({"kind": "submit", "job": "j-lost"})
+    manager.process_requests()
+    assert manager.lb.job_record("j-lost").destination == "CE1"
+    taken = manager.executor_queue.claim("executor")  # the executor ran attempt 1
+    manager.executor_queue.settle(taken.seq, ACK)
+    manager.lb.log_event(Event("j-lost", "LogMonitor", 1, now_ms(), "Aborted",
+                               {"reason": "worker lost", "destination": "CE1"}))
+
+    class Killed(Exception):
+        pass
+
+    def killed(payload):
+        raise Killed  # the manager dies after Resubmitted, before its request lands
+
+    monkeypatch.setattr(manager.requests, "enqueue", killed)
+    with pytest.raises(Killed):
+        manager.abort_scan(manager.lb.records())
+    assert manager.lb.job_record("j-lost").attempt == 2
+    manager = WorkloadManager(wm_spool, match_retries=1)
+    manager.recover()  # re-drives the orphaned attempt
+    manager.process_requests()
+    record = manager.lb.job_record("j-lost")
+    assert (record.attempt, record.destination) == (2, "CE2")
 
 
 def test_abort_scan_respects_budget(manager):
@@ -440,6 +467,48 @@ def test_pass_over_charged_jobs_does_not_read_the_ledger(manager, monkeypatch):
     manager.run_scans()
     assert refreshes == []
     assert len(manager.ledger.entries()) == len(jobs)
+
+
+def test_scans_forget_the_dag_of_finished_jobs(manager):
+    jobs = [f"j-plain{i}" for i in range(50)]
+    for job in jobs:
+        register(manager, job, '[ Executable = "/bin/true"; ]')
+    manager.run_scans()
+    assert len(manager._dag_cache) == len(jobs)  # each live job is looked at
+    for job in jobs:
+        manager.lb.log_event(Event(job, "LogMonitor", 1, now_ms(), "Done",
+                                   {"exitCode": "0", "destination": "CE1"}))
+    manager.run_scans()
+    assert manager._dag_cache == {}
+
+
+def test_requests_name_only_their_job(wm_spool, monkeypatch):
+    core = GatewayCore(wm_spool)
+    manager = WorkloadManager(wm_spool, match_retries=1)
+    from_gateway = counted(monkeypatch, core.requests, "enqueue")
+    from_manager = counted(monkeypatch, manager.requests, "enqueue")
+    job = core.dispatch("submit", "alice", {"jdl": '[ Executable = "/bin/true"; RetryCount = 2; ]'})["job"]
+    dag = core.dispatch("submit-dag", "alice", {"jdl": DAG_JDL})["job"]
+    held = core.dispatch("submit", "alice", {"jdl": '[ Executable = "/bin/cat"; Arguments = "in.bin"; '
+                                                    'InputSandbox = {"in.bin"}; ]'})["job"]
+    assert upload(core, held, "in.bin")["released"]
+    core.dispatch("save-state", "alice", {"job": job, "pairs": [["step", "1"]]})
+    core.dispatch("resubmit", "alice", {"job": job, "from_state": 1})
+    core.dispatch("cancel", "alice", {"job": held})
+    drain(manager, rounds=3)  # submits the DAG's node A
+    manager.lb.log_event(Event(job, "LogMonitor", 1, now_ms(), "Aborted", {"reason": "x", "destination": "CE1"}))
+    assert manager.abort_scan(manager.lb.records()) == 1
+    register(manager, "j-orphan", '[ Executable = "/bin/true"; ]')
+    assert manager.stuck_scan(manager.lb.records(), min_age_ms=0) == 1
+    assert [(r["kind"], r["job"]) for r in from_gateway] == [
+        ("submit", job), ("submit_dag", dag), ("submit", held), ("resubmit_from_state", job), ("cancel", held),
+    ]
+    assert [(r["kind"], r["job"]) for r in from_manager] == [
+        ("submit", f"{dag}.a"), ("submit", job), ("submit", "j-orphan"),
+    ]
+    for request in from_gateway + from_manager:
+        extra = {"state_seq"} if request["kind"] == "resubmit_from_state" else set()
+        assert set(request) == {"kind", "job"} | extra
 
 
 def validate_calls(monkeypatch) -> list:
