@@ -15,6 +15,17 @@ Storage is one append-only JSON-lines file per job:
     {"job":..,"src":..,"sseq":..,"ts":..,"kind":..,"payload":{..}}
 
 Duplicate (job, source, sseq) triples are acknowledged without effect.
+
+A store caches each live job's parsed events until the file's size
+changes.  The workload manager's scan pass `settle`s a job that no scan
+will act on again (terminal, and charged or with nothing left to do):
+the store then keeps only the file's size and a `JobSummary` of what a
+query reads (owner, state, destination, tags) and drops the events.
+`records()` skips a settled job, and `query` answers from its summary,
+while the file keeps that size, which one `stat` per job checks; an
+event appended since, by any process, makes the job live again.  Reading
+a settled job (`job_record`, `events_of`) parses its file without
+caching it.
 """
 
 from __future__ import annotations
@@ -133,7 +144,7 @@ class Event:
 
     @classmethod
     def from_dict(cls, obj: dict, payloads: dict[tuple, dict[str, str]]) -> "Event":
-        # A store caches every job it reads, and events repeat the same
+        # A store caches the live jobs it reads, and events repeat the same
         # strings (job id, source, kind, payload keys, destinations):
         # interned, each is held once.  Whole payloads repeat too ({}, a
         # destination, a user tag): one equal to a payload in the table
@@ -218,6 +229,19 @@ class JobRecord:
     user_tags: dict[str, str]
     checkpoint_states: list[tuple[int, list[tuple[str, str]]]]
     events: list[Event] = field(default_factory=list)
+    size: int = 0  # of the events file that the record was derived from
+
+
+@dataclass(frozen=True, slots=True)
+class JobSummary:
+    """What a query reads of a settled job, and its events file's size then."""
+
+    job: str
+    size: int
+    owner: str
+    state: JobState
+    destination: str | None
+    user_tags: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -254,16 +278,21 @@ class BookkeepingStore:
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # cache: job -> (file size, parsed events); purely derived state
+        # cache: live job -> (file size, parsed events); purely derived state
         self._cache: dict[str, tuple[int, tuple[Event, ...]]] = {}
+        self._settled: dict[str, JobSummary] = {}  # see settle()
         # the cached events' payloads, each held once (Event.from_dict);
         # emptied when full, as some payloads are unique (a jdl, a cpu time)
         self._payloads: dict[tuple, dict[str, str]] = {}
 
     # -- paths ----------------------------------------------------------
 
+    def _events_file(self, job_id: str) -> str:
+        # a string, not a Path: a scan pass or a query builds one per listed job
+        return f"{self.root}/{_shard(job_id)}/{job_id}.events"
+
     def _events_path(self, job_id: str) -> Path:
-        return self.root / _shard(job_id) / f"{job_id}.events"
+        return Path(self._events_file(job_id))
 
     def _lock_for(self, job_id: str) -> Path:
         return self._events_path(job_id).with_suffix(".lock")
@@ -281,29 +310,36 @@ class BookkeepingStore:
             raise UnknownJobError(f"job {job_id} is not registered")
         path.parent.mkdir(parents=True, exist_ok=True)
         with flocked(self._lock_for(job_id)):
-            events = self._load_events(job_id)
+            _size, events = self._load_events(job_id)
             if any(e.source == event.source and e.sseq == event.sseq for e in events):
                 return False  # duplicate: acknowledged, no effect
             append_line(path, json.dumps(event.as_dict(), sort_keys=True))
-            self._cache.pop(job_id, None)
+            self._forget(job_id)
         return True
 
     # -- reading ----------------------------------------------------------
 
-    def _load_events(self, job_id: str) -> tuple[Event, ...]:
-        path = self._events_path(job_id)
+    def _forget(self, job_id: str) -> None:
+        self._cache.pop(job_id, None)
+        self._settled.pop(job_id, None)
+
+    def _load_events(self, job_id: str) -> tuple[int, tuple[Event, ...]]:
+        """(file size, events in canonical order); cached unless the job is settled."""
+        path = self._events_file(job_id)
         try:
-            size = path.stat().st_size
+            size = os.stat(path).st_size
         except FileNotFoundError:
-            self._cache.pop(job_id, None)
-            return ()
+            self._forget(job_id)
+            return 0, ()
         cached = self._cache.get(job_id)
         if cached and cached[0] == size:
-            return cached[1]
+            return cached
         events: list[Event] = []
         if len(self._payloads) >= PAYLOAD_TABLE_MAX:
             self._payloads.clear()
-        for line in path.read_bytes().split(b"\n"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for line in data.split(b"\n"):
             line = line.strip()
             if not line:
                 continue
@@ -311,19 +347,25 @@ class BookkeepingStore:
                 events.append(Event.from_dict(json.loads(line.decode("utf-8")), self._payloads))
             except (ValueError, KeyError, UnicodeDecodeError):
                 continue  # partial or corrupt line: skip
-        ordered = tuple(sorted(events, key=_content_key))
-        self._cache[job_id] = (size, ordered)
-        return ordered
+        loaded = (size, tuple(sorted(events, key=_content_key)))
+        summary = self._settled.get(job_id)
+        if summary is None or summary.size != size:
+            self._settled.pop(job_id, None)  # an event since it settled: live again
+            self._cache[job_id] = loaded
+        return loaded
 
     def events_of(self, job_id: str) -> list[Event]:
         """A job's events in canonical order."""
-        events = self._load_events(job_id)
+        events = self._load_events(job_id)[1]
         if not events:
             raise UnknownJobError(f"job {job_id} is not registered")
         return list(events)
 
     def job_record(self, job_id: str) -> JobRecord:
-        ordered = self.events_of(job_id)
+        size, ordered = self._load_events(job_id)
+        if not ordered:
+            raise UnknownJobError(f"job {job_id} is not registered")
+        ordered = list(ordered)
         state, attempt = _derive_ordered(ordered)
 
         owner, jdl = "", ""
@@ -378,6 +420,15 @@ class BookkeepingStore:
             user_tags=user_tags,
             checkpoint_states=sorted(checkpoints.items()),
             events=ordered,
+            size=size,
+        )
+
+    def settle(self, record: JobRecord) -> None:
+        """Drop a job's parsed events because no scan will act on it again,
+        keeping its summary for `query` (see the module docstring)."""
+        self._cache.pop(record.job, None)
+        self._settled[record.job] = JobSummary(
+            record.job, record.size, record.owner, record.state, record.destination, record.user_tags
         )
 
     def list_jobs(self) -> list[str]:
@@ -396,18 +447,31 @@ class BookkeepingStore:
         jobs.sort()
         return jobs
 
-    def records(self) -> Iterator[JobRecord]:
-        """The record of every listed job, in jobId order.
+    def _views(self) -> Iterator[JobRecord | JobSummary]:
+        """Each listed job in jobId order: the summary of a settled job whose
+        events file has kept its size, else the job's record.
 
         A job's events file is created just before its Registered line is
         written, so a listing can name a job that has no event yet; such a
         job is skipped until the line lands.
         """
         for job_id in self.list_jobs():
+            summary = self._settled.get(job_id)
+            if summary is not None:
+                try:
+                    if os.stat(self._events_file(job_id)).st_size == summary.size:
+                        yield summary
+                        continue
+                except FileNotFoundError:
+                    continue
             try:
                 yield self.job_record(job_id)
             except UnknownJobError:
                 continue
+
+    def records(self) -> Iterator[JobRecord]:
+        """The record of every listed job that is not settled, in jobId order."""
+        return (view for view in self._views() if isinstance(view, JobRecord))
 
     # -- queries ------------------------------------------------------------
 
@@ -415,13 +479,11 @@ class BookkeepingStore:
         """Jobs satisfying every predicate, any listed value per predicate;
         returned in ascending jobId order."""
         return [
-            record.job
-            for record in self.records()
-            if all(self._predicate_holds(pred, record) for pred in query.predicates)
+            view.job for view in self._views() if all(self._predicate_holds(pred, view) for pred in query.predicates)
         ]
 
     @staticmethod
-    def _predicate_holds(pred: QueryPredicate, record: JobRecord) -> bool:
+    def _predicate_holds(pred: QueryPredicate, record: JobRecord | JobSummary) -> bool:
         if pred.field == "owner":
             return record.owner in pred.values
         if pred.field == "state":
@@ -444,7 +506,7 @@ class BookkeepingStore:
             raise UnknownJobError(f"job {job_id} is not registered")
         pair_list = [(str(k), str(v)) for k, v in pairs]
         with flocked(self._lock_for(job_id)):
-            events = self._load_events(job_id)
+            _size, events = self._load_events(job_id)
             state, _ = _derive_ordered(events)
             if state == JobState.CLEARED:
                 raise UnknownJobError(f"job {job_id} is cleared")
@@ -466,7 +528,7 @@ class BookkeepingStore:
                 payload={"seq": str(seq), "pairs": json.dumps(pair_list)},
             )
             append_line(path, json.dumps(event.as_dict(), sort_keys=True))
-            self._cache.pop(job_id, None)
+            self._forget(job_id)
         return seq
 
     def get_state(self, job_id: str, seq: int | None = None) -> list[tuple[str, str]]:

@@ -19,6 +19,22 @@ Both are deleted once the terminal record is appended.
 Simulated CEs run real local processes (one wrapper per job, its own
 process group) so sandbox transfer, exit codes, kill semantics, and
 interactive streams are exercised for real.
+
+The wrappers are forked by one wrapper zygote (`Zygote`, protocol in
+gridwms.wrapper), which the executor starts in its own session on the
+first job.  Per job the executor writes `run/<handle>/plan.json`, sends
+the zygote one request line and reads back the wrapper's pid; the zygote
+reports the wrapper's wait status when it reaps it, which `_reap` turns
+into a return code as `Popen.poll` does.  The child writes its own
+`wrapper.pid` before it runs the job, so a restart can kill the wrapper's
+process group even if the executor died before it saw the pid.  If the
+zygote dies, or does not answer a request within `ZYGOTE_REPLY_TIMEOUT`,
+every wrapper it had started and not yet reported has its process group
+killed and its attempt aborted ("wrapper zygote lost"), as `recover()`
+does after a restart; the manager retries those jobs within their
+RetryCount, and the next job starts a new zygote.  The zygote exits when
+its request pipe closes: `close()`, which `run_forever` calls on its way
+out, or the death of the executor.
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ import argparse
 import json
 import logging
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -53,8 +70,11 @@ LOG_KINDS = ("Staged", "Committed", "Executing") + TERMINAL_KINDS
 DEFAULT_COMMIT_TIMEOUT = 30.0
 DEFAULT_HEARTBEAT_PERIOD = 2.0
 WRAPPER_SETUP_FAILED = 125
-# run as `python -S -c WRAPPER_MAIN plan.json`; see gridwms.wrapper for why
+# one wrapper as a process of its own: `python -S -c WRAPPER_MAIN plan.json`
 WRAPPER_MAIN = "from gridwms.wrapper import main; raise SystemExit(main())"
+# the wrapper zygote: `python -S -c ZYGOTE_MAIN`; see gridwms.wrapper
+ZYGOTE_MAIN = "from gridwms.wrapper import serve; raise SystemExit(serve())"
+ZYGOTE_REPLY_TIMEOUT = 10.0  # s for the zygote to answer a request with a pid
 
 
 class UnknownHandleError(WmsError):
@@ -102,6 +122,107 @@ class SimCE:
         return max(0, self.slots - len(self.running))
 
 
+class ZygoteLostError(OSError):
+    """The zygote died, or did not answer a request in time."""
+
+
+class WrapperProcess:
+    """A wrapper that the zygote forked; `poll` answers as `Popen.poll` does."""
+
+    __slots__ = ("pid", "returncode", "zygote")
+
+    def __init__(self, zygote: Zygote, pid: int):
+        self.pid = pid
+        self.returncode: int | None = None
+        self.zygote = zygote
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            self.zygote.read()
+        return self.returncode
+
+
+class Zygote:
+    """The wrapper zygote process and the executor's end of its two pipes."""
+
+    def __init__(self):
+        self.proc = subprocess.Popen(
+            [python_executable(), "-S", "-c", ZYGOTE_MAIN],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=python_child_env(),
+            start_new_session=True,
+        )
+        self._out = self.proc.stdout.fileno()
+        os.set_blocking(self._out, False)
+        self._rest = b""
+        self._reply: WrapperProcess | str | None = None  # the answer to the last request
+        self.children: dict[int, WrapperProcess] = {}  # started, exit not reported yet
+        self.alive = True
+
+    def spawn(self, run_dir: Path, plan_path: Path, env: dict[str, str]) -> WrapperProcess:
+        """Have the zygote fork the wrapper of one job; raises OSError if it
+        could not, ZygoteLostError if the zygote is gone or did not answer."""
+        request = json.dumps({"dir": str(run_dir), "plan": str(plan_path), "env": env})
+        try:
+            self.proc.stdin.write(request.encode() + b"\n")
+            self.proc.stdin.flush()
+        except OSError as exc:
+            self.alive = False
+            raise ZygoteLostError(f"request not sent: {exc}") from exc
+        deadline = time.monotonic() + ZYGOTE_REPLY_TIMEOUT
+        while self._reply is None:
+            left = deadline - time.monotonic()
+            if not self.alive or left <= 0 or not select.select([self._out], [], [], left)[0]:
+                self.alive = False
+                self.proc.kill()  # a zygote that does not answer is not trusted again
+                raise ZygoteLostError("no reply to a request")
+            self.read()
+        reply, self._reply = self._reply, None
+        if isinstance(reply, str):
+            raise OSError(reply)
+        return reply
+
+    def read(self) -> None:
+        """Take in every line the zygote has written: exits and the reply."""
+        while self.alive:
+            try:
+                data = os.read(self._out, 1 << 16)
+            except BlockingIOError:
+                return
+            if not data:
+                self.alive = False  # end of file: the zygote is gone
+                return
+            *lines, self._rest = (self._rest + data).split(b"\n")
+            for line in lines:
+                kind, _, rest = line.decode().partition(" ")
+                if kind == "exit":
+                    pid, status = rest.split()
+                    proc = self.children.pop(int(pid), None)
+                    if proc is not None:
+                        proc.returncode = os.waitstatus_to_exitcode(int(status))
+                elif kind == "pid":
+                    # known at once: the wrapper's exit may follow in this same read
+                    self._reply = self.children[int(rest)] = WrapperProcess(self, int(rest))
+                else:
+                    self._reply = rest  # error <message>
+
+    def close(self) -> None:
+        """End the zygote by closing its request pipe (SIGKILL if it has not
+        exited 5 s later), then reap it."""
+        self.alive = False
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
 class JobLog:
     """Append-only executor log with strictly increasing timestamps."""
 
@@ -142,7 +263,8 @@ class ExecutorService:
         self.owner = f"executor-{os.getpid()}"
         self.jobs: dict[str, StagedJob] = {}  # live attempts by handle
         self.finished: set[str] = set()  # handles with a terminal record
-        self.procs: dict[str, subprocess.Popen] = {}
+        self.procs: dict[str, WrapperProcess] = {}  # running wrappers by handle
+        self._zygote: Zygote | None = None
         self.ces: dict[str, SimCE] = {}
         self._ce_ads: dict[str, classad.ClassAd] = {}
         self._last_heartbeat = 0.0
@@ -333,28 +455,48 @@ class ExecutorService:
         # run directory alone makes recovery abort the attempt
         plan_path.write_text(json.dumps(plan.as_dict(), sort_keys=True))
         try:
-            proc = subprocess.Popen(
-                [python_executable(), "-S", "-c", WRAPPER_MAIN, str(plan_path)],
-                cwd=run_dir,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                stdin=subprocess.DEVNULL,
-                start_new_session=True,
-            )
+            if self._zygote is None:
+                self._zygote = Zygote()
+            proc = self._zygote.spawn(run_dir, plan_path, env)
+        except ZygoteLostError as exc:
+            self._kill_run_dir(job.handle)  # in case the wrapper was forked
+            self._abort(job, f"wrapper spawn failed: wrapper zygote lost: {exc}")
+            self._zygote_lost()
+            return
         except OSError as exc:
             self._abort(job, f"wrapper spawn failed: {exc}")
             return
-        (run_dir / "wrapper.pid").write_text(str(proc.pid))
+        crash_point("executor.after_spawn")
         job.started = True
         self.procs[job.handle] = proc
         ce.running.add(job.handle)
         self.job_log.append(job.handle, job.descriptor.job_id, "Executing", {"ceId": ce.ce_id})
         crash_point("executor.after_executing")
 
-    def _reap(self) -> None:
+    def _zygote_lost(self) -> None:
+        """Kill and abort every wrapper the zygote started and did not
+        report, as a restart would; the next job starts a new zygote."""
+        self.close()
         for handle, proc in list(self.procs.items()):
-            rc = proc.poll()
+            if proc.returncode is None:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+                self._abort(self.jobs[handle], "wrapper zygote lost")
+
+    def close(self) -> None:
+        """End the wrapper zygote, if one runs.  Running wrappers go on, as
+        after a crash; the next start's `recover()` aborts them."""
+        if self._zygote is not None:
+            self._zygote.close()
+            self._zygote = None
+
+    def _reap(self) -> None:
+        if self._zygote is not None:
+            self._zygote.read()
+        for handle, proc in list(self.procs.items()):
+            rc = proc.returncode
             if rc is None:
                 continue
             job = self.jobs[handle]
@@ -372,6 +514,8 @@ class ExecutorService:
                 self._abort(job, f"wrapper killed by signal {-rc}")
             else:
                 self._abort(job, f"wrapper exited {rc} without a result")
+        if self._zygote is not None and not self._zygote.alive:
+            self._zygote_lost()
 
     def _read_wrapper_result(self, handle: str) -> dict | None:
         path = self.spool.run_dir(handle) / "wrapper.result"
@@ -452,8 +596,8 @@ class ExecutorService:
     def tick(self) -> int:
         handled = self._consume_queue()
         self._gc_uncommitted()
+        self._reap()  # first, so that a slot freed now is filled in this tick
         self._schedule()
-        self._reap()
         if time.monotonic() - self._last_heartbeat >= self.heartbeat_period:
             self.heartbeat()
             self._last_heartbeat = time.monotonic()
@@ -462,10 +606,13 @@ class ExecutorService:
     def run_forever(self, stop: threading.Event | None = None, poll: float = 0.05) -> None:
         self.recover()
         self.heartbeat()
-        while stop is None or not stop.is_set():
-            busy = self.tick()
-            if not busy:
-                time.sleep(poll)
+        try:
+            while stop is None or not stop.is_set():
+                busy = self.tick()
+                if not busy:
+                    time.sleep(poll)
+        finally:
+            self.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -387,7 +387,8 @@ class WorkloadManager:
         """Resubmit aborted jobs that still have retry budget.  The
         Resubmitted event names the CE where the failed attempt ran, which
         the new attempt's submit excludes.  A DAG is not a job ad, and a
-        Partitionable job's nodes retry on their own."""
+        Partitionable job's nodes retry on their own; those and the jobs
+        with no retry left are settled."""
         resubmitted = 0
         for record in records:
             if record.state != JobState.ABORTED:
@@ -395,8 +396,9 @@ class WorkloadManager:
             try:
                 jd = validate_job(record.jdl)
             except WmsError:
-                continue
-            if jd.job_type == "Partitionable" or record.attempt > jd.retry_count:
+                jd = None
+            if jd is None or jd.job_type == "Partitionable" or record.attempt > jd.retry_count:
+                self.lb.settle(record)
                 continue
             payload = {"reason": "automatic reschedule after abort"}
             if record.destination:
@@ -432,6 +434,8 @@ class WorkloadManager:
             job_id = record.job
             if record.state in TERMINAL_STATES:
                 self._dag_cache.pop(job_id, None)  # no scan asks about a finished job again
+                if record.state in (JobState.CANCELLED, JobState.CLEARED):
+                    self.lb.settle(record)  # nor acts on it
                 continue
             dag = self._dag_for(job_id, record)
             if dag is None:
@@ -571,14 +575,16 @@ class WorkloadManager:
 
     def charge_scan(self, records: Iterable[JobRecord]) -> int:
         """Charge each finished attempt once, from one registry snapshot.
-        A DAG container, or a job on a CE with no price, is never charged."""
+        A DAG container, or a job on a CE with no price, is never charged.
+        A finished job is settled once charged, or if it has nothing to charge."""
         charged = 0
         resources: dict[str, ResourceEntry] | None = None
         for record in records:
             job_id = record.job
-            if record.state not in (JobState.DONE_OK, JobState.DONE_FAILED) or not record.destination:
+            if record.state not in (JobState.DONE_OK, JobState.DONE_FAILED):
                 continue
-            if self.ledger.has_charge(job_id, record.attempt):
+            if not record.destination or self.ledger.has_charge(job_id, record.attempt):
+                self.lb.settle(record)
                 continue
             if resources is None:
                 resources = self.registry.snapshot()
@@ -588,6 +594,7 @@ class WorkloadManager:
             price = attr_value(entry.ad, "pricepercpusecond")
             group = attr_value(entry.ad, "ownergroup")
             if not isinstance(price, Integer) or not isinstance(group, Text) or not group.value:
+                self.lb.settle(record)
                 continue
             cpu = 0.0
             for ev in record.events:
@@ -605,6 +612,7 @@ class WorkloadManager:
                 group.value,
                 attempt=record.attempt,
             )
+            self.lb.settle(record)
             charged += 1
         return charged
 
@@ -708,9 +716,10 @@ class WorkloadManager:
         return handled
 
     def run_scans(self) -> None:
-        """The four scans share one listing of the store.  They act on
-        disjoint states; a job that moves after the listing waits for the
-        next pass."""
+        """The four scans share one listing of the store's live jobs.  They
+        act on disjoint states, and settle the jobs that no scan will act on
+        again, so the next pass does not read them; a job that moves after
+        the listing waits for the next pass."""
         records = list(self.lb.records())
         self.abort_scan(records)
         self.dag_scan(records)

@@ -1,13 +1,33 @@
 """The job wrapper: creates the execution environment on the worker.
 
-The executor starts it in a fresh scratch directory (its working directory)
-as `python -S -c "from gridwms.wrapper import main; ..." plan.json`, and
-`python -m gridwms.wrapper plan.json` works too.  Every job pays for this
-start, so `-S` skips `site` and its `.pth` hooks (`python_child_env` puts
-the package on PYTHONPATH, which `-S` honours), `-c` skips `runpy`, and
-the module level imports only `json`, `os`, `sys` and `time`.  The
-interactive path imports `socket`, `subprocess`, `threading` and
-`.framing`; `shutil` is imported only to look a bare command up on PATH.
+The executor does not start an interpreter per job.  It starts one wrapper
+zygote, `python -S -c "from gridwms.wrapper import serve; ..."`, on its
+first job, and asks it to fork each wrapper (the pattern of Android's
+Zygote and of `multiprocessing`'s forkserver).  The zygote has imported
+this module, `json`, `signal` and `shutil` once, so the wrapper of a plain
+job starts with nothing left to import or compile.  `-S` skips `site` and its `.pth` hooks
+(`python_child_env` puts the package on PYTHONPATH, which `-S` honours).
+
+The zygote's protocol is one line each way, on its stdin and stdout:
+
+    {"dir": <run dir>, "plan": <plan.json>, "env": {..}}   one request per job
+    pid <pid>                  the reply, at once, after the fork
+    error <message>            the reply when the fork or the request failed
+    exit <pid> <wait status>   when the zygote has reaped that wrapper
+
+The forked child calls `setsid()`, so killing its process group ends the
+wrapper and its job; changes into the run directory; writes `wrapper.pid`
+there by temp file and rename, before it runs anything; puts /dev/null
+on its standard streams, closes every other descriptor, takes the
+request's environment as its own, runs `run(plan)` and `os._exit`s with
+its return code.  The zygote learns of each exit from SIGCHLD through a
+wakeup pipe, not by polling, and exits at the end of its stdin.
+
+`python -m gridwms.wrapper plan.json`, or `python -S -c` with
+`gridwms.executor.WRAPPER_MAIN`, runs one wrapper as a process of its own
+in the working directory.  The module level imports only `json`, `os`,
+`sys` and `time`.  The interactive path imports `socket`, `subprocess`,
+`threading` and `.framing` when a job needs them.
 
 plan.json is `WrapperPlan.as_dict()`, read as a plain dict.  The wrapper
 imports the input sandbox, materializes the checkpoint restore file,
@@ -243,15 +263,104 @@ def run(plan_path: str) -> int:
     return rc if 0 <= rc < 125 else 124
 
 
-def main() -> int:
+def _drop_cwd_from_path() -> None:
     # the job's files land in the working directory: none of them may stand
     # in for a module imported later (an input named signal.py, say)
     if sys.path and sys.path[0] in ("", os.getcwd()):
         del sys.path[0]
+
+
+def main() -> int:
+    _drop_cwd_from_path()
     if len(sys.argv) != 2:
         sys.stderr.write("usage: python -m gridwms.wrapper <plan.json>\n")
         return 2
     return run(sys.argv[1])
+
+
+def _reply(line: str) -> None:
+    os.write(1, (line + "\n").encode())
+
+
+def _wrapper_child(run_dir: str, plan_path: str, env: dict) -> int:
+    """In the forked child: become the wrapper of one job (see the module docstring)."""
+    import signal
+
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    os.setsid()
+    os.chdir(run_dir)
+    # renamed into place, so a restart never reads a torn pid; no fsync, as
+    # a crash of the machine ends the wrapper too
+    with open(".wrapper.pid.tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(".wrapper.pid.tmp", "wrapper.pid")
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(null, fd)
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+    os.environ.clear()
+    os.environ.update(env)
+    return run(plan_path)
+
+
+def _fork_wrapper(line: bytes) -> None:
+    try:
+        request = json.loads(line)
+        run_dir, plan_path = str(request["dir"]), str(request["plan"])
+        env = {str(k): str(v) for k, v in dict(request["env"]).items()}
+        pid = os.fork()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _reply("error " + " ".join(str(exc).split()))
+        return
+    if pid == 0:
+        code = SETUP_FAILED
+        try:
+            code = _wrapper_child(run_dir, plan_path, env)
+        finally:
+            os._exit(code)  # never back into the zygote's loop
+    _reply(f"pid {pid}")
+
+
+def serve() -> int:
+    """The wrapper zygote: fork one wrapper per request line on stdin
+    until stdin ends (see the module docstring for the protocol)."""
+    import select
+    import shutil  # noqa: F401  a bare command name needs it: imported once, here
+    import signal
+
+    _drop_cwd_from_path()
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_r, False)
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGCHLD, lambda *_: None)  # a handler, so SIGCHLD writes to wake_w
+    rest = b""
+    while True:
+        ready = select.select([0, wake_r], [], [])[0]
+        if wake_r in ready:
+            while True:
+                try:
+                    if not os.read(wake_r, 4096):
+                        break
+                except BlockingIOError:
+                    break
+            while True:
+                try:
+                    pid, status = os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    break
+                if pid == 0:
+                    break
+                _reply(f"exit {pid} {status}")
+        if 0 in ready:
+            data = os.read(0, 1 << 16)
+            if not data:
+                return 0
+            *lines, rest = (rest + data).split(b"\n")
+            for line in lines:
+                if line.strip():
+                    _fork_wrapper(line)
 
 
 if __name__ == "__main__":

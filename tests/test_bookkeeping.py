@@ -314,6 +314,38 @@ def test_query_paper_example_shape(tmp_path):
     assert store.query(query) == ["j-1", "j-2"]
 
 
+def test_settled_jobs_answer_queries_from_their_summaries(tmp_path):
+    store = make_store(tmp_path)
+    rng = random.Random(11)
+    for i in range(30):
+        job = f"job-{i:02d}"
+        register(store, job=job, owner=rng.choice(["alice", "bob"]))
+        store.log_event(ev("Matched", sseq=2, ts=2000, job=job, payload={"destination": rng.choice(["X", "Y"])}))
+        last = rng.choice(["Running", "Done", "Aborted", "Cancelled"])
+        store.log_event(ev(last, sseq=3, ts=3000, job=job, payload={"exitCode": "0"} if last == "Done" else {}))
+        if i % 3:
+            store.log_event(ev("UserTag", sseq=4, src="UI", job=job, payload={"name": "Batch", "value": f"b{i % 2}"}))
+    queries = [Query((QueryPredicate("owner", ("alice",)),)),
+               Query((QueryPredicate("state", ("DONE_OK", "aborted")),)),
+               Query((QueryPredicate("destination", ("X",)),)),
+               Query((QueryPredicate("tag:batch", ("b1",)), QueryPredicate("owner", ("bob",)))),
+               Query((QueryPredicate("state", ("RUNNING",)), QueryPredicate("destination", ("Y",))))]
+    before = [store.query(q) for q in queries]
+    assert all(before)  # non-vacuous
+    for record in list(store.records()):
+        store.settle(record)
+    assert store._cache == {} and list(store.records()) == []
+    assert [store.query(q) for q in queries] == before
+    # reading a settled job parses its file and keeps nothing
+    assert store.job_record("job-00").events and store.events_of("job-00")
+    assert store._cache == {}
+    # an event appended by another process makes the job live again
+    BookkeepingStore(tmp_path / "lb").log_event(ev("UserTag", sseq=9, src="UI", job="job-01",
+                                                   payload={"name": "batch", "value": "again"}))
+    assert [record.job for record in store.records()] == ["job-01"]
+    assert store.query(Query((QueryPredicate("tag:batch", ("again",)),))) == ["job-01"]
+
+
 def test_query_empty_store_and_bad_field(tmp_path):
     store = make_store(tmp_path)
     assert store.query(Query((QueryPredicate("state", ("RUNNING",)),))) == []

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from gridwms import executor as executor_module
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState
 from gridwms.broker import ResourceRegistry
 from gridwms.classad import Integer, attr_value
@@ -18,12 +21,14 @@ from gridwms.executor import (
     InvalidDescriptorError,
     UnknownHandleError,
 )
+from gridwms.client import GatewayClient
 from gridwms.layout import SpoolLayout
 from gridwms.logmonitor import LogMonitor, tail_and_translate
+from gridwms.stack import Stack
 from gridwms.submission import SubmissionDescriptor, WrapperPlan
 from gridwms.util import append_line, read_json_lines
 
-from conftest import write_resource
+from conftest import wait_state, write_resource
 
 
 @pytest.fixture
@@ -32,6 +37,22 @@ def exec_spool(tmp_path) -> SpoolLayout:
     write_resource(layout.root / "resources", "CE1", Status="Production", FreeCPUs=2,
                    TotalCPUs=2, Slots=2, OwnerGroup="g", PricePerCpuSecond=1)
     return layout
+
+
+@pytest.fixture(autouse=True)
+def close_services(monkeypatch):
+    """Close every executor a test makes, so that no wrapper zygote outlives its test."""
+    made = []
+    real_init = ExecutorService.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ExecutorService, "__init__", init)
+    yield
+    for service in made:
+        service.close()
 
 
 def make_service(spool: SpoolLayout, **kwargs) -> ExecutorService:
@@ -319,6 +340,124 @@ def test_duplicate_descriptor_absorbed(exec_spool):
     records = log_records(exec_spool)
     assert len([r for r in records if r["kind"] == "Executing"]) == 1
     assert len([r for r in records if r["kind"] == "Terminated"]) == 1
+
+
+# -- the wrapper zygote ------------------------------------------------------------
+
+# a job that says where it runs, then waits to be killed
+SLEEPER = ["/bin/sh", "-c", "echo $$ > job.pid.tmp; mv job.pid.tmp job.pid; exec sleep 60"]
+
+
+def alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def wait_for(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def job_pid(spool: SpoolLayout, handle: str) -> int:
+    path = spool.run_dir(handle) / "job.pid"
+    assert wait_for(path.exists)
+    return int(path.read_text())
+
+
+def test_restart_kills_a_wrapper_whose_pid_the_executor_never_saw(exec_spool, monkeypatch):
+    service = make_service(exec_spool)
+    handle = service.stage(descriptor(exec_spool, command=SLEEPER))
+    service.commit(handle)
+
+    def crash(name):
+        if name == "executor.after_spawn":
+            raise RuntimeError("executor died between the spawn and its record of the pid")
+
+    monkeypatch.setattr(executor_module, "crash_point", crash)
+    with pytest.raises(RuntimeError):
+        service.tick()
+    assert handle not in service.procs
+    pid = job_pid(exec_spool, handle)  # the job runs: its wrapper wrote wrapper.pid first
+    replacement = make_service(exec_spool)
+    assert replacement.recover() == 1
+    assert wait_for(lambda: not alive(pid))
+    assert [r["kind"] for r in log_records(exec_spool)] == ["Staged", "Committed", "Aborted"]
+
+
+def test_a_killed_zygote_aborts_its_jobs_and_the_next_job_gets_a_new_one(exec_spool):
+    service = make_service(exec_spool)  # CE1 has 2 slots
+    sleepers = [service.stage(descriptor(exec_spool, job=f"job-{i}", command=SLEEPER)) for i in range(2)]
+    last = service.stage(descriptor(exec_spool, job="job-last", command=["/bin/true"]))
+    for handle in [*sleepers, last]:
+        service.commit(handle)
+    run_until(service, lambda: len(service.procs) == 2)
+    pids = [job_pid(exec_spool, handle) for handle in sleepers]
+    first = service._zygote.proc.pid
+    os.kill(first, signal.SIGKILL)
+    run_until(service, lambda: last in service.finished)
+    assert wait_for(lambda: not any(alive(pid) for pid in pids))
+    terminal = {r["handle"]: r for r in log_records(exec_spool) if r["kind"] in ("Terminated", "Aborted")}
+    assert [terminal[h]["data"].get("reason") for h in sleepers] == ["wrapper zygote lost"] * 2
+    assert terminal[last]["kind"] == "Terminated" and terminal[last]["data"]["exitCode"] == 0
+    assert service._zygote.proc.pid != first
+    assert not alive(first)
+
+
+def test_a_zygote_that_does_not_answer_is_replaced(exec_spool, monkeypatch):
+    service = make_service(exec_spool)
+    warm = service.stage(descriptor(exec_spool, job="job-warm", command=["/bin/true"]))
+    service.commit(warm)
+    run_until(service, lambda: warm in service.finished)
+    hung = service._zygote.proc
+    os.kill(hung.pid, signal.SIGSTOP)
+    handle = service.stage(descriptor(exec_spool, job="job-1", command=["/bin/true"]))
+    service.commit(handle)
+    # short only for this request: a new zygote's start counts against its first one
+    timeout = executor_module.ZYGOTE_REPLY_TIMEOUT
+    monkeypatch.setattr(executor_module, "ZYGOTE_REPLY_TIMEOUT", 0.3)
+    service.tick()
+    monkeypatch.setattr(executor_module, "ZYGOTE_REPLY_TIMEOUT", timeout)
+    last = log_records(exec_spool)[-1]
+    assert last["handle"] == handle and last["kind"] == "Aborted"
+    assert last["data"]["reason"].startswith("wrapper spawn failed: wrapper zygote lost")
+    assert hung.returncode == -signal.SIGKILL  # killed and reaped
+    again = service.stage(descriptor(exec_spool, job="job-2", command=["/bin/true"]))
+    service.commit(again)
+    run_until(service, lambda: again in service.finished)
+    assert log_records(exec_spool)[-1]["kind"] == "Terminated"
+
+
+def test_a_wrapper_that_ends_before_its_pid_is_read_is_reaped(exec_spool, monkeypatch):
+    real_select = executor_module.select.select
+
+    def slow_select(*args):
+        time.sleep(0.5)  # the wrapper ends meanwhile: its pid and its exit arrive in one read
+        return real_select(*args)
+
+    monkeypatch.setattr(executor_module, "select", SimpleNamespace(select=slow_select))
+    service = make_service(exec_spool)
+    handle = service.stage(descriptor(exec_spool, command=["/bin/true"]))
+    service.commit(handle)
+    run_until(service, lambda: handle in service.finished, timeout=5)
+    assert log_records(exec_spool)[-1]["kind"] == "Terminated"
+
+
+def test_no_zygote_outlives_the_stack(spool):
+    with Stack(spool.root, fake_cpu_seconds=0.5) as stack:
+        with GatewayClient.from_addr(stack.address, user="alice") as client:
+            job = client.call("submit", jdl='[ Executable = "/bin/true"; ]')["job"]
+            assert wait_state(client, job)["state"] == "DONE_OK"
+        zygote = stack.executor._zygote.proc.pid
+        assert alive(zygote)
+    assert stack.executor._zygote is None
+    assert not os.path.exists(f"/proc/{zygote}")  # exited and reaped
 
 
 # -- only live attempts are kept -----------------------------------------------------

@@ -482,6 +482,42 @@ def test_scans_forget_the_dag_of_finished_jobs(manager):
     assert manager._dag_cache == {}
 
 
+def test_settled_jobs_leave_the_scans_and_the_cache(manager, monkeypatch):
+    charged = [f"j-paid{i}" for i in range(20)]
+    for job in charged:
+        finished(manager, job, "CE1")
+    register(manager, "j-failed", '[ Executable = "/x"; ]')  # RetryCount 0: no retry left
+    manager.lb.log_event(Event("j-failed", "LogMonitor", 1, now_ms(), "Aborted", {"reason": "x"}))
+    register(manager, "j-cancelled", '[ Executable = "/x"; ]')
+    manager.lb.log_event(Event("j-cancelled", "WM", 1, now_ms(), "Cancelled", {}))
+    register(manager, "j-live", '[ Executable = "/x"; ]')
+    settled = [*charged, "j-failed", "j-cancelled"]
+    manager.run_scans()
+    assert all(manager.ledger.has_charge(job, 1) for job in charged)
+    record_calls = counted(monkeypatch, manager.lb, "job_record")
+    manager.run_scans()
+    assert record_calls == ["j-live"]
+    assert list(manager.lb._cache) == ["j-live"]
+    # the store still answers for them
+    owned = manager.lb.query(Query((QueryPredicate("owner", ("alice",)),)))
+    assert owned == sorted([*settled, "j-live"])
+    assert manager.lb.job_record("j-failed").state == JobState.ABORTED
+
+
+def test_an_event_on_a_settled_job_brings_it_back_into_the_pass(manager, monkeypatch):
+    finished(manager, "j-back", "CE1")
+    manager.run_scans()
+    assert [record.job for record in manager.lb.records()] == []
+    # another process opens a new attempt (`wms resubmit` through a gateway)
+    BookkeepingStore(manager.lb.root).log_event(
+        Event("j-back", "WM", 10_000_001, now_ms(), "Resubmitted", {"reason": "explicit resubmit"}))
+    record_calls = counted(monkeypatch, manager.lb, "job_record")
+    manager.run_scans()
+    assert record_calls == ["j-back"]
+    assert [(r.job, r.state, r.attempt) for r in manager.lb.records()] == [("j-back", JobState.WAITING, 2)]
+    assert manager.lb.query(Query((QueryPredicate("state", ("WAITING",)),))) == ["j-back"]
+
+
 def test_requests_name_only_their_job(wm_spool, monkeypatch):
     core = GatewayCore(wm_spool)
     manager = WorkloadManager(wm_spool, match_retries=1)
