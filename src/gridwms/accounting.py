@@ -8,19 +8,28 @@ invariant.
 
 The ledger file (one JSON entry per line, append-only) is the source of
 truth; balances are a fold over initial funding plus entries and are
-recomputed on load.
+recomputed on load, and again whenever the file's size is not the one
+this instance last folded.  The entries themselves are read from the
+file when asked for, so a `Ledger` holds no list of them.  A charge or
+transfer opens the file once and flocks that descriptor (no sidecar lock
+file); a torn last line left by a crash stays on its own line, which
+the fold skips.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
+
 from . import classad
 from .classad import AdValue, Integer, ListValue, Text, attr_value
 from .errors import WmsError
-from .util import append_line, flocked, now_ms, read_json_lines
+from .util import append_locked, now_ms, open_locked, parse_json_lines
 
 KIND_TRANSFER = "transfer"
 KIND_CHARGE = "charge"
@@ -134,29 +143,46 @@ class Ledger:
         self._bootstrap = (
             load_bootstrap_accounts(self.accounts_file) if self.accounts_file else {}
         )
+        # a fold over the ledger file's first `_size` bytes: the balances, the
+        # charged attempts and the entry count; the entries stay in the file
         self._accounts: dict[str, Account] = {}
-        self._entries: list[LedgerEntry] = []
+        self._count = 0
         self._charged: dict[tuple[str, int], str] = {}  # (job, attempt) -> first charge entry id
         self._size = 0
-        self._replay()
+        self._replay(self._read())
 
-    def _lock(self):
-        return flocked(self.path.with_suffix(".lock"))
+    @contextmanager
+    def _locked(self) -> Iterator[tuple[int, int]]:
+        """The ledger file, open and locked (`util.open_locked`), with this
+        view refreshed to the locked size."""
+        fd, size = open_locked(self.path, create=True)
+        try:
+            if size != self._size:
+                self._replay(os.pread(fd, size, 0))
+            yield fd, size
+        finally:
+            os.close(fd)
 
-    def _replay(self) -> None:
-        self._accounts = {aid: Account(a.id, a.kind, a.balance) for aid, a in self._bootstrap.items()}
-        self._entries = []
-        self._charged = {}
-        for obj in read_json_lines(self.path):
+    def _read(self) -> bytes:
+        try:
+            return self.path.read_bytes()
+        except FileNotFoundError:
+            return b""
+
+    def _entries_of(self, data: bytes) -> Iterator[LedgerEntry]:
+        for obj in parse_json_lines(data):
             try:
-                entry = LedgerEntry.from_dict(obj)
+                yield LedgerEntry.from_dict(obj)
             except (KeyError, ValueError):
                 continue
+
+    def _replay(self, data: bytes) -> None:
+        self._accounts = {aid: Account(a.id, a.kind, a.balance) for aid, a in self._bootstrap.items()}
+        self._count = 0
+        self._charged = {}
+        for entry in self._entries_of(data):
             self._apply(entry)
-        try:
-            self._size = self.path.stat().st_size
-        except FileNotFoundError:
-            self._size = 0
+        self._size = len(data)
 
     def _refresh(self) -> None:
         try:
@@ -164,14 +190,14 @@ class Ledger:
         except FileNotFoundError:
             size = 0
         if size != self._size:
-            self._replay()
+            self._replay(self._read())
 
     def _apply(self, entry: LedgerEntry) -> None:
         self._ensure(entry.src)
         self._ensure(entry.dst)
         self._accounts[entry.src].balance -= entry.amount
         self._accounts[entry.dst].balance += entry.amount
-        self._entries.append(entry)
+        self._count += 1
         if entry.kind in (KIND_CHARGE, KIND_DEFICIT) and entry.job_id is not None:
             self._charged.setdefault((entry.job_id, entry.attempt or 1), entry.entry_id)
 
@@ -182,10 +208,9 @@ class Ledger:
             self._accounts[account_id] = acct
         return acct
 
-    def _append(self, entry: LedgerEntry) -> None:
-        append_line(self.path, json.dumps(entry.as_dict(), sort_keys=True))
+    def _append(self, fd: int, size: int, entry: LedgerEntry) -> None:
+        self._size = append_locked(fd, size, json.dumps(entry.as_dict(), sort_keys=True))
         self._apply(entry)
-        self._size = self.path.stat().st_size
 
     # -- operations ------------------------------------------------------
 
@@ -193,8 +218,7 @@ class Ledger:
         """Move credits atomically; no partial effect on failure."""
         if amount <= 0:
             raise WmsError("transfer amount must be > 0")
-        with self._lock():
-            self._refresh()
+        with self._locked() as (fd, size):
             if src not in self._accounts:
                 raise UnknownAccountError(f"unknown account {src!r}")
             if dst not in self._accounts:
@@ -204,7 +228,7 @@ class Ledger:
                     f"{src} has {self._accounts[src].balance}, needs {amount}"
                 )
             entry = LedgerEntry(
-                entry_id=f"e-{len(self._entries) + 1}",
+                entry_id=f"e-{self._count + 1}",
                 kind=KIND_TRANSFER,
                 src=src,
                 dst=dst,
@@ -212,7 +236,7 @@ class Ledger:
                 ts=now_ms(),
                 memo=memo,
             )
-            self._append(entry)
+            self._append(fd, size, entry)
             return entry.entry_id
 
     def charge_job(
@@ -231,8 +255,7 @@ class Ledger:
         A user who cannot pay gets a zero-amount deficit entry instead;
         accounting never retroactively fails jobs.
         """
-        with self._lock():
-            self._refresh()
+        with self._locked() as (fd, size):
             charged = self._charged.get((job_id, attempt))
             if charged is not None:
                 return charged
@@ -241,7 +264,7 @@ class Ledger:
             cost = job_cost(cpu_seconds, price_per_cpu_second)
             if user.balance < cost:
                 entry = LedgerEntry(
-                    entry_id=f"e-{len(self._entries) + 1}",
+                    entry_id=f"e-{self._count + 1}",
                     kind=KIND_DEFICIT,
                     src=user_account,
                     dst=owner_group,
@@ -255,7 +278,7 @@ class Ledger:
                 )
             else:
                 entry = LedgerEntry(
-                    entry_id=f"e-{len(self._entries) + 1}",
+                    entry_id=f"e-{self._count + 1}",
                     kind=KIND_CHARGE,
                     src=user_account,
                     dst=owner_group,
@@ -267,7 +290,7 @@ class Ledger:
                     cpu_seconds=cpu_seconds,
                     price_per_cpu_second=price_per_cpu_second,
                 )
-            self._append(entry)
+            self._append(fd, size, entry)
             return entry.entry_id
 
     # -- reads ----------------------------------------------------------------
@@ -283,7 +306,7 @@ class Ledger:
         self._refresh()
         if account_id not in self._accounts:
             raise UnknownAccountError(f"unknown account {account_id!r}")
-        involved = [e for e in self._entries if account_id in (e.src, e.dst)]
+        involved = [e for e in self.entries() if account_id in (e.src, e.dst)]
         return sorted(involved, key=lambda e: (e.ts, e.entry_id))
 
     def accounts(self) -> dict[str, Account]:
@@ -291,8 +314,8 @@ class Ledger:
         return {aid: Account(a.id, a.kind, a.balance) for aid, a in self._accounts.items()}
 
     def entries(self) -> list[LedgerEntry]:
-        self._refresh()
-        return list(self._entries)
+        """Every entry, read from the ledger file."""
+        return list(self._entries_of(self._read()))
 
     def total(self) -> int:
         self._refresh()

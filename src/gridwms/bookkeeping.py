@@ -16,20 +16,34 @@ Storage is one append-only JSON-lines file per job:
 
 Duplicate (job, source, sseq) triples are acknowledged without effect.
 
-A store caches each live job's parsed events until the file's size
-changes.  The workload manager's scan pass `settle`s a job that no scan
-will act on again (terminal, and charged or with nothing left to do):
-the store then keeps only the file's size and a `JobSummary` of what a
-query reads (owner, state, destination, tags) and drops the events.
-`records()` skips a settled job, and `query` answers from its summary,
-while the file keeps that size, which one `stat` per job checks; an
-event appended since, by any process, makes the job live again.  Reading
-a settled job (`job_record`, `events_of`) parses its file without
-caching it.
+An append opens the events file once and takes an exclusive flock on
+that descriptor; every writer does the same, so the size read under the
+lock is the end that the append extends, and no sidecar lock file is
+made.  Only a Registered event may create the file (and its shard
+directory); the first one fsyncs the shard directory too, so the job id
+the gateway hands out names a durable file.  A crash can leave a torn
+last line: the next append starts with a newline, so the torn tail
+stays on its own line, which every reader skips.
+
+A store caches each live job's parsed events with the file's size.  A
+store's own appends update its cache: the new event is inserted in
+canonical order, as a fresh parse would place it.  A change by another
+process shows as a different size, so the file is parsed once more.  A
+store caches only jobs it has read, so a store that only writes keeps
+no events.  The workload manager's scan pass `settle`s a job that no
+scan will act on again (terminal, and charged or with nothing left to
+do): the store then keeps only the file's size and a `JobSummary` of
+what a query reads (owner, state, destination, tags) and drops the
+events.  `records()` skips a settled job, and `query` answers from its
+summary, while the file keeps that size, which one `stat` per job
+checks; an event appended since, by any process, makes the job live
+again.  Reading a settled job (`job_record`, `events_of`) parses its
+file without caching it.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -40,7 +54,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnknownJobError, WmsError
-from .util import append_line, flocked, now_ms
+from .util import append_locked, fsync_dir, now_ms, open_locked
 
 SOURCES = ("UI", "Gateway", "WM", "Broker", "Executor", "LogMonitor", "JobWrapper")
 
@@ -294,9 +308,6 @@ class BookkeepingStore:
     def _events_path(self, job_id: str) -> Path:
         return Path(self._events_file(job_id))
 
-    def _lock_for(self, job_id: str) -> Path:
-        return self._events_path(job_id).with_suffix(".lock")
-
     # -- event ingestion --------------------------------------------------
 
     def exists(self, job_id: str) -> bool:
@@ -305,23 +316,78 @@ class BookkeepingStore:
     def log_event(self, event: Event) -> bool:
         """Append an event durably.  Returns False for an idempotently
         ignored duplicate (same job, source, sseq)."""
-        path = self._events_path(job_id := event.job)
-        if event.kind != "Registered" and not path.exists():
-            raise UnknownJobError(f"job {job_id} is not registered")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with flocked(self._lock_for(job_id)):
-            _size, events = self._load_events(job_id)
+        job_id = event.job
+        registered = event.kind == "Registered"
+        fd, size = self._open_locked(job_id, create=registered)
+        try:
+            events = self._locked_events(job_id, fd, size)
             if any(e.source == event.source and e.sseq == event.sseq for e in events):
                 return False  # duplicate: acknowledged, no effect
-            append_line(path, json.dumps(event.as_dict(), sort_keys=True))
-            self._forget(job_id)
+            self._append(fd, size, events, event)
+        finally:
+            os.close(fd)
+        if registered and size == 0:
+            # the first line of a new (or crash-emptied) file: make the
+            # file's name durable too before the job id can be handed out
+            fsync_dir(os.path.dirname(self._events_file(job_id)))
         return True
+
+    def _open_locked(self, job_id: str, create: bool) -> tuple[int, int]:
+        """The job's events file, open and locked (`util.open_locked`);
+        UnknownJobError if it is missing and may not be created."""
+        path = self._events_file(job_id)
+        try:
+            return open_locked(path, create)
+        except FileNotFoundError:
+            if not create:
+                raise UnknownJobError(f"job {job_id} is not registered") from None
+        os.makedirs(os.path.dirname(path), exist_ok=True)  # the shard's first job
+        return open_locked(path, create)
+
+    def _locked_events(self, job_id: str, fd: int, size: int) -> tuple[Event, ...]:
+        """The events of a job whose file is locked at `size`: the cached ones
+        while the cache holds that size, else parsed from the descriptor."""
+        cached = self._cache.get(job_id)
+        if cached is not None and cached[0] == size:
+            return cached[1]
+        return self._parse(os.pread(fd, size, 0))
+
+    def _append(self, fd: int, size: int, events: tuple[Event, ...], event: Event) -> None:
+        """Append `event` to a locked events file that holds `events`, and
+        write the cache through: a job in the cache stays there, with the
+        event where a fresh parse would put it."""
+        record = event.as_dict()
+        new_size = append_locked(fd, size, json.dumps(record, sort_keys=True))
+        job_id = event.job
+        self._settled.pop(job_id, None)  # an event since it settled: live again
+        if job_id in self._cache:
+            ordered = list(events)
+            bisect.insort(ordered, self._event(record), key=_content_key)
+            self._cache[job_id] = (new_size, tuple(ordered))
 
     # -- reading ----------------------------------------------------------
 
     def _forget(self, job_id: str) -> None:
         self._cache.pop(job_id, None)
         self._settled.pop(job_id, None)
+
+    def _event(self, obj: dict) -> Event:
+        if len(self._payloads) >= PAYLOAD_TABLE_MAX:
+            self._payloads.clear()
+        return Event.from_dict(obj, self._payloads)
+
+    def _parse(self, data: bytes) -> tuple[Event, ...]:
+        """The events of an events file's bytes, in canonical order."""
+        events: list[Event] = []
+        for line in data.split(b"\n"):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                events.append(self._event(json.loads(line.decode("utf-8"))))
+            except (ValueError, KeyError, UnicodeDecodeError):
+                continue  # partial or corrupt line: skip
+        return tuple(sorted(events, key=_content_key))
 
     def _load_events(self, job_id: str) -> tuple[int, tuple[Event, ...]]:
         """(file size, events in canonical order); cached unless the job is settled."""
@@ -334,20 +400,8 @@ class BookkeepingStore:
         cached = self._cache.get(job_id)
         if cached and cached[0] == size:
             return cached
-        events: list[Event] = []
-        if len(self._payloads) >= PAYLOAD_TABLE_MAX:
-            self._payloads.clear()
         with open(path, "rb") as fh:
-            data = fh.read()
-        for line in data.split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(Event.from_dict(json.loads(line.decode("utf-8")), self._payloads))
-            except (ValueError, KeyError, UnicodeDecodeError):
-                continue  # partial or corrupt line: skip
-        loaded = (size, tuple(sorted(events, key=_content_key)))
+            loaded = (size, self._parse(fh.read(size)))
         summary = self._settled.get(job_id)
         if summary is None or summary.size != size:
             self._settled.pop(job_id, None)  # an event since it settled: live again
@@ -501,12 +555,12 @@ class BookkeepingStore:
         The state rides inside a Chkpt event so the event log remains the
         single repository.
         """
-        path = self._events_path(job_id)
-        if not path.exists():
-            raise UnknownJobError(f"job {job_id} is not registered")
         pair_list = [(str(k), str(v)) for k, v in pairs]
-        with flocked(self._lock_for(job_id)):
-            _size, events = self._load_events(job_id)
+        fd, size = self._open_locked(job_id, create=False)
+        try:
+            events = self._locked_events(job_id, fd, size)
+            if not events:
+                raise UnknownJobError(f"job {job_id} is not registered")
             state, _ = _derive_ordered(events)
             if state == JobState.CLEARED:
                 raise UnknownJobError(f"job {job_id} is cleared")
@@ -527,8 +581,9 @@ class BookkeepingStore:
                 kind="Chkpt",
                 payload={"seq": str(seq), "pairs": json.dumps(pair_list)},
             )
-            append_line(path, json.dumps(event.as_dict(), sort_keys=True))
-            self._forget(job_id)
+            self._append(fd, size, events, event)
+        finally:
+            os.close(fd)
         return seq
 
     def get_state(self, job_id: str, seq: int | None = None) -> list[tuple[str, str]]:

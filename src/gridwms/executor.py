@@ -14,7 +14,10 @@ job.log is the one durable record of an attempt's progress: Staged,
 Committed, Executing, then one terminal record.  Only a live attempt has
 files besides: `staged/<handle>.json`, its descriptor and staging time,
 written once, and `run/<handle>/`, made before its wrapper is spawned.
-Both are deleted once the terminal record is appended.
+Both are deleted once the terminal record is appended.  An append opens
+job.log once and flocks that descriptor, so no sidecar lock file is
+made; a torn last line left by a crash stays on its own line, which the
+log monitor skips.
 
 Simulated CEs run real local processes (one wrapper per job, its own
 process group) so sandbox transfer, exit codes, kill semantics, and
@@ -35,6 +38,10 @@ does after a restart; the manager retries those jobs within their
 RetryCount, and the next job starts a new zygote.  The zygote exits when
 its request pipe closes: `close()`, which `run_forever` calls on its way
 out, or the death of the executor.
+
+When a tick takes no queue item, `run_forever` waits up to its poll
+period before the next one; while wrappers run, it waits on the zygote's
+pipe, so a wrapper's exit wakes it and its slot is refilled at once.
 """
 
 from __future__ import annotations
@@ -60,7 +67,15 @@ from .faults import crash_point
 from .filequeue import ACK, FileQueue
 from .layout import SpoolLayout
 from .submission import SubmissionDescriptor
-from .util import append_line, atomic_write_text, flocked, now_ms, python_child_env, python_executable, read_json_lines
+from .util import (
+    append_locked,
+    atomic_write_text,
+    now_ms,
+    open_locked,
+    python_child_env,
+    python_executable,
+    read_json_lines,
+)
 
 log = logging.getLogger("gridwms.executor")
 
@@ -207,6 +222,11 @@ class Zygote:
                 else:
                     self._reply = rest  # error <message>
 
+    def wait(self, timeout: float) -> None:
+        """Wait up to `timeout` for the zygote to write: a wrapper's exit, or
+        its own end of file."""
+        select.select([self._out], [], [], timeout)
+
     def close(self) -> None:
         """End the zygote by closing its request pipe (SIGKILL if it has not
         exited 5 s later), then reap it."""
@@ -233,11 +253,14 @@ class JobLog:
 
     def append(self, handle: str, job_id: str, kind: str, data: dict | None = None) -> None:
         assert kind in LOG_KINDS
-        with flocked(self.path.with_suffix(".lock")):
+        fd, size = open_locked(self.path, create=True)
+        try:
             ts = max(now_ms(), self._last_ts + 1)
             self._last_ts = ts
             record = {"ts": ts, "handle": handle, "jobId": job_id, "kind": kind, "data": data or {}}
-            append_line(self.path, json.dumps(record, sort_keys=True))
+            append_locked(fd, size, json.dumps(record, sort_keys=True))
+        finally:
+            os.close(fd)
 
 
 class ExecutorService:
@@ -610,9 +633,22 @@ class ExecutorService:
             while stop is None or not stop.is_set():
                 busy = self.tick()
                 if not busy:
-                    time.sleep(poll)
+                    self._idle(poll)
         finally:
             self.close()
+
+    def _idle(self, poll: float) -> None:
+        """Wait up to `poll` before the next tick.  While wrappers run, wait
+        on the zygote's pipe: a wrapper's exit wakes the executor at once,
+        and the next tick reaps it and refills its slot.  A zygote at end
+        of file wakes it too, and that tick's `_reap` replaces the zygote."""
+        if any(proc.returncode is not None for proc in self.procs.values()):
+            return  # an exit that a spawn read waits to be reaped
+        zygote = self._zygote
+        if zygote is not None and zygote.alive and zygote.children:
+            zygote.wait(poll)
+        else:
+            time.sleep(poll)
 
 
 def main(argv: list[str] | None = None) -> int:

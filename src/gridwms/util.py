@@ -20,7 +20,7 @@ def random_suffix(nbytes: int = 4) -> str:
     return secrets.token_hex(nbytes)
 
 
-def fsync_dir(path: Path) -> None:
+def fsync_dir(path: Path | str) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -57,7 +57,9 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 @contextmanager
 def flocked(lock_path: Path):
-    """Exclusive advisory lock held for the duration of the block.
+    """Exclusive advisory lock on a sidecar file, held for the duration of
+    the block: for a lock over several files, as a file queue's.  An
+    append-only log is locked through its own descriptor (`open_locked`).
 
     flock is released automatically if the holding process dies, which is
     what makes it safe to use in crash-prone components.
@@ -72,35 +74,52 @@ def flocked(lock_path: Path):
         os.close(fd)
 
 
-def append_line(path: Path, line: str) -> None:
-    """Append one newline-terminated line with a single write plus fsync.
+def open_locked(path: Path | str, create: bool = False) -> tuple[int, int]:
+    """Open an append-only log for reading and appending, and lock it.
 
-    If a previous crash left a partial line at the end of the file, a
-    newline is inserted first so the corrupt tail stays isolated on its
-    own (unparseable) line instead of merging with this record.
+    Returns the descriptor, which holds an exclusive flock on the log
+    itself until it is closed, and the log's size under that lock.  Every
+    writer of the log takes this lock, so no append lands between the
+    size read here and the caller's `append_locked`.  Only a caller that
+    may make the log passes `create`; otherwise a missing log raises
+    FileNotFoundError.
     """
-    data = line.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | (os.O_CREAT if create else 0), 0o644)
     try:
-        size = os.fstat(fd).st_size
-        if size > 0:
-            with open(path, "rb") as rf:
-                rf.seek(size - 1)
-                if rf.read(1) != b"\n":
-                    os.write(fd, b"\n")
-        os.write(fd, data + b"\n")
-        os.fsync(fd)
-    finally:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        return fd, os.fstat(fd).st_size
+    except BaseException:
         os.close(fd)
+        raise
+
+
+def append_locked(fd: int, size: int, line: str) -> int:
+    """Append one line to a log that `open_locked` gave at `size`, with one
+    write plus fsync; returns the log's new size.
+
+    If a crash left a torn line at the end of the log, a newline goes
+    first, so the torn tail stays on its own unparseable line instead of
+    merging with this record.
+    """
+    data = line.encode("utf-8") + b"\n"
+    if size and os.pread(fd, 1, size - 1) != b"\n":
+        data = b"\n" + data
+    os.write(fd, data)
+    os.fsync(fd)
+    return size + len(data)
 
 
 def read_json_lines(path: Path) -> list[dict]:
     """Parse one-JSON-object-per-line files, skipping corrupt lines."""
-    out: list[dict] = []
     try:
-        raw = path.read_bytes()
+        return parse_json_lines(path.read_bytes())
     except FileNotFoundError:
-        return out
+        return []
+
+
+def parse_json_lines(raw: bytes) -> list[dict]:
+    """The JSON objects of a one-object-per-line log, skipping corrupt lines."""
+    out: list[dict] = []
     for line in raw.split(b"\n"):
         line = line.strip()
         if not line:

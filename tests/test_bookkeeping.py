@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwms.bookkeeping import (
     KINDS,
@@ -207,6 +213,9 @@ def test_unknown_job_rejected_for_non_registered(tmp_path):
     store = make_store(tmp_path)
     with pytest.raises(UnknownJobError):
         store.log_event(ev("Running", job="ghost"))
+    with pytest.raises(UnknownJobError):
+        store.save_state("ghost", [("a", "b")])
+    assert list((tmp_path / "lb").iterdir()) == []  # no shard directory, no file
 
 
 def test_full_log_replay_leaves_records_unchanged(tmp_path):
@@ -403,3 +412,156 @@ def test_event_file_line_format(tmp_path):
     assert set(line) == {"job", "src", "sseq", "ts", "kind", "payload"}
     assert line["kind"] == "Registered"
     assert line["payload"]["owner"] == "alice"
+
+
+# -- the append path --------------------------------------------------------------
+
+
+def events_file(store: BookkeepingStore, job: str) -> Path:
+    return Path(store._events_file(job))
+
+
+def record_fields(record):
+    return (record.job, record.owner, record.jdl, record.state, record.attempt, record.destination,
+            record.exit_code, record.user_tags, record.checkpoint_states, record.size,
+            [e.as_dict() for e in record.events])
+
+
+def test_the_shard_directory_is_fsynced_when_a_job_is_registered(tmp_path, monkeypatch):
+    store = make_store(tmp_path)
+    fsynced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        fsynced.append(os.readlink(f"/proc/self/fd/{fd}"))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    register(store, job="j1")
+    path = os.path.realpath(events_file(store, "j1"))
+    assert fsynced == [path, os.path.dirname(path)]  # the line, then the file's name
+    fsynced.clear()
+    register(store, job="j1")  # a duplicate Registered
+    store.log_event(ev("Accepted", sseq=2, job="j1"))
+    store.save_state("j1", [("a", "b")])
+    assert fsynced == [path, path]
+
+
+_KIND_CHOICES = ["Accepted", "Matched", "Committed", "Running", "Done", "Aborted", "Resubmitted",
+                 "UserTag", "Chkpt", "Cleared", "Registered"]
+_PAYLOADS = [{}, {"destination": "CE1"}, {"destination": "CE2"}, {"exitCode": "0"}, {"exitCode": "1"},
+             {"name": "batch", "value": "b1"}, {"owner": "bob", "jdl": "[ ]"}]
+_event_args = st.tuples(
+    st.sampled_from(["j1", "j2"]),
+    st.sampled_from(["WM", "LogMonitor", "Executor"]),
+    st.integers(1, 4),  # a small range, so that duplicates occur
+    st.integers(1000, 1003),
+    st.sampled_from(_KIND_CHOICES),
+    st.sampled_from(_PAYLOADS),
+)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("log"), _event_args),
+        st.tuples(st.just("other"), _event_args),  # appended by a second store on the same root
+        st.tuples(st.just("save"), st.sampled_from(["j1", "j2"])),
+        st.tuples(st.just("torn"), st.sampled_from(["j1", "j2"])),
+        st.tuples(st.just("settle"), _event_args),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_steps)
+def test_the_write_through_cache_equals_a_fresh_parse(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "lb"
+        store, other = BookkeepingStore(root), BookkeepingStore(root)
+        for job in ("j1", "j2"):
+            register(store, job=job)
+            store.job_record(job)  # cached from here on
+        for op, arg in steps:
+            if op in ("log", "other", "settle"):
+                job, src, sseq, ts, kind, payload = arg
+                if op == "settle":
+                    store.settle(store.job_record(job))
+                (other if op == "other" else store).log_event(Event(job, src, sseq, ts, kind, payload))
+            elif op == "save":
+                try:
+                    store.save_state(arg, [("step", "1")])
+                except UnknownJobError:
+                    pass  # a cleared job
+            else:
+                with open(events_file(store, arg), "ab") as fh:
+                    fh.write(b'{"job": "' + arg.encode() + b'", "src": "WM", "ss')
+            fresh = BookkeepingStore(root)
+            for job in ("j1", "j2"):
+                assert [e.as_dict() for e in store.events_of(job)] == [e.as_dict() for e in fresh.events_of(job)]
+                assert record_fields(store.job_record(job)) == record_fields(fresh.job_record(job))
+
+
+def test_an_append_to_a_cached_job_parses_only_the_new_event(tmp_path, monkeypatch):
+    store = make_store(tmp_path)
+    register(store)
+    for i, kind in enumerate(["Accepted", "Matched", "Committed", "Running"]):
+        store.log_event(ev(kind, sseq=i + 2, ts=1000 + i, job="j1"))
+    assert len(store.job_record("j1").events) == 5  # cached
+    parsed = []
+    real = Event.from_dict
+    monkeypatch.setattr(Event, "from_dict", staticmethod(lambda obj, payloads: parsed.append(obj) or real(obj, payloads)))
+    store.log_event(ev("Done", sseq=9, ts=2000, job="j1", payload={"exitCode": "0"}))
+    record = store.job_record("j1")
+    assert record.state == JobState.DONE_OK and len(record.events) == 6
+    assert [obj["kind"] for obj in parsed] == ["Done"]
+
+
+def test_an_append_to_a_cached_job_opens_one_file_and_fsyncs_once(tmp_path, monkeypatch):
+    store = make_store(tmp_path)
+    register(store)
+    store.job_record("j1")  # cached
+    calls = []
+    for name in ("open", "fsync", "stat", "mkdir"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    assert store.log_event(ev("Accepted", sseq=2, job="j1"))
+    monkeypatch.undo()
+    assert sorted(calls) == ["fsync", "open"]
+    assert not list((tmp_path / "lb").rglob("*.lock"))
+
+
+def test_a_torn_tail_stays_on_its_own_line(tmp_path):
+    store = make_store(tmp_path)
+    register(store)
+    path = events_file(store, "j1")
+    with open(path, "ab") as fh:
+        fh.write(b'{"job": "j1", "src": "WM", "sseq": 7, "ki')  # a crash mid-write
+    store.log_event(ev("Accepted", sseq=2, job="j1"))
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1] == b'{"job": "j1", "src": "WM", "sseq": 7, "ki'
+    assert json.loads(lines[2])["kind"] == "Accepted" and lines[3] == b""
+    assert [e.kind for e in BookkeepingStore(tmp_path / "lb").events_of("j1")] == ["Registered", "Accepted"]
+
+
+def test_two_stores_appending_at_once_lose_no_event(tmp_path):
+    register(make_store(tmp_path))
+    stores = [make_store(tmp_path), make_store(tmp_path)]
+    for store in stores:
+        store.job_record("j1")  # both cached, so each must see the other's appends
+
+    def append(i):
+        for n in range(40):
+            stores[i].log_event(ev("UserTag", sseq=n + 1, src=("WM", "UI")[i], ts=2000 + n, job="j1",
+                                   payload={"name": f"t{i}", "value": str(n)}))
+
+    threads = [threading.Thread(target=append, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    lines = events_file(stores[0], "j1").read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    records = [json.loads(line) for line in lines[:-1]]  # every line intact
+    assert sorted((r["src"], r["sseq"]) for r in records[1:]) == sorted(
+        (src, n + 1) for src in ("WM", "UI") for n in range(40))
+    for store in stores:
+        assert len(store.events_of("j1")) == 81

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import signal
+import threading
 import time
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from gridwms.layout import SpoolLayout
 from gridwms.logmonitor import LogMonitor, tail_and_translate
 from gridwms.stack import Stack
 from gridwms.submission import SubmissionDescriptor, WrapperPlan
-from gridwms.util import append_line, read_json_lines
+from gridwms.util import append_locked, open_locked, read_json_lines
 
 from conftest import wait_state, write_resource
 
@@ -586,6 +587,14 @@ def lb_with_job(spool: SpoolLayout, job="job-1") -> BookkeepingStore:
     return store
 
 
+def append_line(path, line: str) -> None:
+    fd, size = open_locked(path, create=True)
+    try:
+        append_locked(fd, size, line)
+    finally:
+        os.close(fd)
+
+
 def append_log(spool: SpoolLayout, kind: str, job="job-1", handle="h-1", ts=None, **data):
     record = {"ts": ts or 5000, "handle": handle, "jobId": job, "kind": kind, "data": data}
     append_line(spool.executor_log, json.dumps(record))
@@ -685,3 +694,29 @@ def test_monitor_restartable_with_no_divergence(exec_spool):
     assert (replayed.state, replayed.attempt) == (baseline.state, baseline.attempt)
     assert len(replayed.events) == len(baseline.events)
     assert replayed.state == JobState.DONE_FAILED
+
+
+# -- the idle wait -----------------------------------------------------------------
+
+
+def test_a_freed_slot_is_refilled_without_waiting_out_the_idle_poll(exec_spool, tmp_path):
+    one_slot = tmp_path / "one-slot"
+    write_resource(one_slot, "CE1", Status="Production", FreeCPUs=1, TotalCPUs=1, Slots=1,
+                   OwnerGroup="g", PricePerCpuSecond=1)
+    service = make_service(exec_spool, resources_dir=one_slot)
+    for i in range(3):
+        desc = descriptor(exec_spool, job=f"job-{i}", command=["/bin/true"])
+        service.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
+    stop = threading.Event()
+    thread = threading.Thread(target=service.run_forever, args=(stop,), kwargs={"poll": 2.0})
+    started = time.monotonic()
+    thread.start()
+    try:
+        while sum(r["kind"] == "Terminated" for r in log_records(exec_spool)) < 3:
+            assert time.monotonic() - started < 2.0, "each job waited out a poll before its slot was refilled"
+            time.sleep(0.01)
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert [r["data"]["exitCode"] for r in log_records(exec_spool) if r["kind"] == "Terminated"] == [0, 0, 0]
