@@ -19,11 +19,13 @@ Duplicate (job, source, sseq) triples are acknowledged without effect.
 An append opens the events file once and takes an exclusive flock on
 that descriptor; every writer does the same, so the size read under the
 lock is the end that the append extends, and no sidecar lock file is
-made.  Only a Registered event may create the file (and its shard
-directory); the first one fsyncs the shard directory too, so the job id
-the gateway hands out names a durable file.  A crash can leave a torn
-last line: the next append starts with a newline, so the torn tail
-stays on its own line, which every reader skips.
+made.  `log_events` appends several events of one job in one write and
+one fsync, each deduplicated as `log_event` would.  Only a Registered
+event may create the file (and its shard directory); the first one
+fsyncs the shard directory too, so the job id the gateway hands out
+names a durable file.  A crash can leave a torn last line: the next
+append starts with a newline, so the torn tail stays on its own line,
+which every reader skips.
 
 A store caches each live job's parsed events with the file's size.  A
 store's own appends update its cache: the new event is inserted in
@@ -316,21 +318,34 @@ class BookkeepingStore:
     def log_event(self, event: Event) -> bool:
         """Append an event durably.  Returns False for an idempotently
         ignored duplicate (same job, source, sseq)."""
-        job_id = event.job
-        registered = event.kind == "Registered"
+        return self.log_events([event]) == 1
+
+    def log_events(self, batch: Sequence[Event]) -> int:
+        """Append events of one job durably, with one write and one fsync;
+        returns how many were new.  Each event is deduplicated on its own,
+        as `log_event` would."""
+        job_id = batch[0].job
+        if any(ev.job != job_id for ev in batch):
+            raise ValueError("a batch of events must be of one job")
+        registered = any(ev.kind == "Registered" for ev in batch)
         fd, size = self._open_locked(job_id, create=registered)
         try:
             events = self._locked_events(job_id, fd, size)
-            if any(e.source == event.source and e.sseq == event.sseq for e in events):
-                return False  # duplicate: acknowledged, no effect
-            self._append(fd, size, events, event)
+            seen = {(e.source, e.sseq) for e in events}
+            new = []
+            for ev in batch:
+                if (ev.source, ev.sseq) not in seen:  # else a duplicate: no effect
+                    seen.add((ev.source, ev.sseq))
+                    new.append(ev)
+            if new:
+                self._append(fd, size, events, new)
         finally:
             os.close(fd)
         if registered and size == 0:
             # the first line of a new (or crash-emptied) file: make the
             # file's name durable too before the job id can be handed out
             fsync_dir(os.path.dirname(self._events_file(job_id)))
-        return True
+        return len(new)
 
     def _open_locked(self, job_id: str, create: bool) -> tuple[int, int]:
         """The job's events file, open and locked (`util.open_locked`);
@@ -352,17 +367,18 @@ class BookkeepingStore:
             return cached[1]
         return self._parse(os.pread(fd, size, 0))
 
-    def _append(self, fd: int, size: int, events: tuple[Event, ...], event: Event) -> None:
-        """Append `event` to a locked events file that holds `events`, and
-        write the cache through: a job in the cache stays there, with the
-        event where a fresh parse would put it."""
-        record = event.as_dict()
-        new_size = append_locked(fd, size, json.dumps(record, sort_keys=True))
-        job_id = event.job
+    def _append(self, fd: int, size: int, events: tuple[Event, ...], new: list[Event]) -> None:
+        """Append `new` to a locked events file that holds `events`, in one
+        write, and write the cache through: a job in the cache stays there,
+        with each event where a fresh parse would put it."""
+        records = [ev.as_dict() for ev in new]
+        new_size = append_locked(fd, size, "\n".join(json.dumps(r, sort_keys=True) for r in records))
+        job_id = new[0].job
         self._settled.pop(job_id, None)  # an event since it settled: live again
         if job_id in self._cache:
             ordered = list(events)
-            bisect.insort(ordered, self._event(record), key=_content_key)
+            for record in records:
+                bisect.insort(ordered, self._event(record), key=_content_key)
             self._cache[job_id] = (new_size, tuple(ordered))
 
     # -- reading ----------------------------------------------------------
@@ -581,7 +597,7 @@ class BookkeepingStore:
                 kind="Chkpt",
                 payload={"seq": str(seq), "pairs": json.dumps(pair_list)},
             )
-            self._append(fd, size, events, event)
+            self._append(fd, size, events, [event])
         finally:
             os.close(fd)
         return seq

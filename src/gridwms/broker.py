@@ -138,16 +138,23 @@ def validate_resource_ad(ad: ClassAd) -> tuple[str, str]:
 
 # A parse taken less than this long after the file last changed may have
 # missed a same-size rewrite within one timestamp tick (git's "racily
-# clean" case), so it is parsed again on the next snapshot.
+# clean" case), so the file is read again on the next snapshot.
 RACY_MARGIN_NS = 100_000_000
+
+StatKey = tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
 
 
 @dataclass(frozen=True)
 class _ParsedFile:
-    stat_key: tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
+    stat_key: StatKey
     trusted: bool
+    data: bytes  # the bytes parsed
     resource: tuple[str, str, ClassAd] | None  # (id, type, ad); None when rejected
     error: str | None = None  # why it was rejected
+
+
+def _stat_key(st: os.stat_result) -> StatKey:
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 class ResourceRegistry:
@@ -159,16 +166,18 @@ class ResourceRegistry:
     as fresh configuration.  When a heartbeat exists it governs: a stale
     heartbeat means the resource is genuinely not reporting.
 
-    Each file's last parse, rejections included, is reused until its
-    stat key changes, except a parse made within RACY_MARGIN_NS of the
-    file's ctime.
+    A snapshot lists each directory and takes every file's stat key from
+    its directory entry.  A file whose key equals that of its last read
+    costs that one stat, unless the read was made within RACY_MARGIN_NS
+    of the file's ctime.  Any other file is read again, and only bytes
+    that differ from the last read are parsed; rejections are reused too.
     """
 
     def __init__(self, static_dir: Path | str | None = None, live_dir: Path | str | None = None):
         self.static_dir = Path(static_dir) if static_dir else None
         self.live_dir = Path(live_dir) if live_dir else None
         self._manual: dict[str, ResourceEntry] = {}
-        self._parsed: dict[Path, _ParsedFile] = {}
+        self._parsed: dict[str, _ParsedFile] = {}  # by path
         self._lock = threading.Lock()
 
     def upsert(self, ad: ClassAd, last_update_ms: int | None = None) -> None:
@@ -177,15 +186,14 @@ class ResourceRegistry:
         with self._lock:
             self._manual[rid] = entry
 
-    def _parse_file(self, path: Path) -> _ParsedFile:
+    def _read_file(self, path: str, previous: _ParsedFile | None) -> _ParsedFile:
         started = time.time_ns()
-        previous = self._parsed.get(path)
         with open(path, "rb") as fh:
             st = os.fstat(fh.fileno())
-            stat_key = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-            if previous is not None and previous.trusted and previous.stat_key == stat_key:
-                return previous
             data = fh.read()
+        key, trusted = _stat_key(st), started - st.st_ctime_ns >= RACY_MARGIN_NS
+        if previous is not None and previous.data == data:
+            return replace(previous, stat_key=key, trusted=trusted)
         resource, error = None, None
         try:
             ad = classad.parse_ad(data.decode("utf-8"))
@@ -196,21 +204,26 @@ class ResourceRegistry:
             # on every rewrite (a heartbeat rewrites its file every period)
             if previous is None or previous.error != error:
                 log.warning("ignoring resource file %s: %s", path, error)
-        return _ParsedFile(stat_key, started - st.st_ctime_ns >= RACY_MARGIN_NS, resource, error)
+        return _ParsedFile(key, trusted, data, resource, error)
 
     def _scan_dir(
-        self, directory: Path | None, parsed_now: dict[Path, _ParsedFile], mtime_as_update: bool
+        self, directory: Path | None, parsed_now: dict[str, _ParsedFile], mtime_as_update: bool
     ) -> dict[str, ResourceEntry]:
         out: dict[str, ResourceEntry] = {}
-        if directory is None or not directory.is_dir():
+        if directory is None:
+            return out
+        try:
+            with os.scandir(directory) as listing:
+                files = sorted((e for e in listing if e.name.endswith(".ad")), key=lambda e: e.name)
+        except (FileNotFoundError, NotADirectoryError):
             return out
         scan_time = now_ms()
-        for entry in sorted(os.listdir(directory)):
-            if not entry.endswith(".ad"):
-                continue
-            path = directory / entry
+        for dirent in files:
+            path = dirent.path
+            parsed = self._parsed.get(path)
             try:
-                parsed = self._parse_file(path)
+                if parsed is None or not parsed.trusted or parsed.stat_key != _stat_key(dirent.stat()):
+                    parsed = self._read_file(path, parsed)
             except OSError as exc:
                 log.warning("ignoring resource file %s: %s", path, exc)
                 continue
@@ -226,7 +239,7 @@ class ResourceRegistry:
         """Merged view: static fixtures fill gaps; live heartbeats and
         upserts override, newest information winning."""
         with self._lock:
-            parsed_now: dict[Path, _ParsedFile] = {}
+            parsed_now: dict[str, _ParsedFile] = {}
             entries = self._scan_dir(self.static_dir, parsed_now, mtime_as_update=False)
             entries.update(self._scan_dir(self.live_dir, parsed_now, mtime_as_update=True))
             self._parsed = parsed_now  # rebuilt from this listing: deleted files drop out

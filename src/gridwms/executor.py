@@ -290,6 +290,7 @@ class ExecutorService:
         self._zygote: Zygote | None = None
         self.ces: dict[str, SimCE] = {}
         self._ce_ads: dict[str, classad.ClassAd] = {}
+        self._published: dict[str, int] = {}  # FreeCPUs last written to each CE's live ad
         self._last_heartbeat = 0.0
         self._load_ces(Path(resources_dir) if resources_dir else spool.resources_static)
         self._load_attempts()
@@ -603,7 +604,14 @@ class ExecutorService:
     # -- heartbeats -----------------------------------------------------------------
 
     def heartbeat(self) -> None:
-        """Publish each CE's current availability for the broker."""
+        """Publish each CE's current availability for the broker.
+
+        A CE's ad is rewritten only when its FreeCPUs differs from what this
+        executor last published there; otherwise the heartbeat only
+        advances the ad's mtime, which is all the registry reads from an
+        unchanged ad.  The touch is not fsynced: a crash that loses it only
+        makes the CE look older until the next heartbeat.
+        """
         self.spool.resources_live.mkdir(parents=True, exist_ok=True)
         for rid, ce in self.ces.items():
             ad = self._ce_ads.get(rid)
@@ -611,8 +619,16 @@ class ExecutorService:
                 continue
             # the registry rejects FreeCPUs > TotalCPUs, and Slots may exceed TotalCPUs
             free = min(ce.free_slots, attr_value(ad, "totalcpus").value)
+            path = self.spool.resources_live / f"{rid}.ad"
+            if self._published.get(rid) == free:
+                try:
+                    os.utime(path)
+                    continue
+                except FileNotFoundError:
+                    pass  # removed since: write it again
             updated = ad.with_attr("FreeCPUs", classad.Literal(Integer(free)))
-            atomic_write_text(self.spool.resources_live / f"{rid}.ad", updated.unparse())
+            atomic_write_text(path, updated.unparse())
+            self._published[rid] = free
 
     # -- main loop ----------------------------------------------------------------
 

@@ -155,11 +155,14 @@ class GatewayCore:
         while not self.lb.log_event(Event(job_id, "Gateway", 1, now_ms(), "Registered", registered)):
             job_id = new_job_id()  # the id is another job's: draw again
         crash_point("gateway.after_register")
-        self.lb.log_event(Event(job_id, "Gateway", 2, now_ms(), "Accepted", {}))
-        for i, (name, value) in enumerate(sorted((user_tags or {}).items())):
-            self.lb.log_event(
-                Event(job_id, "Gateway", 3 + i, now_ms(), "UserTag", {"name": name, "value": value})
-            )
+        ts = now_ms()
+        self.lb.log_events(
+            [Event(job_id, "Gateway", 2, ts, "Accepted", {})]
+            + [
+                Event(job_id, "Gateway", 3 + i, ts, "UserTag", {"name": name, "value": value})
+                for i, (name, value) in enumerate(sorted((user_tags or {}).items()))
+            ]
+        )
         return job_id
 
     def cmd_submit(self, user: str, args: dict) -> dict:

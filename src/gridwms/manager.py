@@ -287,13 +287,17 @@ class WorkloadManager:
         if state_seq is not None:
             state_seq = int(state_seq)
             self.lb.get_state(job_id, state_seq)  # fail fast on a bad seq
-        self._wm_event(
-            job_id,
-            _SSEQ_RESUBMIT_BASE + record.attempt,
-            "Resubmitted",
-            {"reason": "explicit resubmit"},
-        )
-        record = self.lb.job_record(job_id)
+        # the Resubmitted event names its request, so a redelivery of the
+        # request continues the attempt it opened instead of opening another
+        opened = next((ev for ev in reversed(record.events) if ev.kind == "Resubmitted"), None)
+        if opened is None or opened.payload.get("request") != str(item_seq):
+            self._wm_event(
+                job_id,
+                _SSEQ_RESUBMIT_BASE + record.attempt,
+                "Resubmitted",
+                {"reason": "explicit resubmit", "request": str(item_seq)},
+            )
+            record = self.lb.job_record(job_id)
         self._run_pipeline(record, validate_job(record.jdl), item_seq, state_seq)
 
     def _handle_cancel(self, payload: dict, item_seq: int) -> None:

@@ -94,8 +94,9 @@ def open_locked(path: Path | str, create: bool = False) -> tuple[int, int]:
 
 
 def append_locked(fd: int, size: int, line: str) -> int:
-    """Append one line to a log that `open_locked` gave at `size`, with one
-    write plus fsync; returns the log's new size.
+    """Append one line (or several, joined by newlines) to a log that
+    `open_locked` gave at `size`, with one write plus fsync; returns the
+    log's new size.
 
     If a crash left a torn line at the end of the log, a newline goes
     first, so the torn tail stays on its own unparseable line instead of

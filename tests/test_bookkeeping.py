@@ -466,6 +466,7 @@ _steps = st.lists(
         st.tuples(st.just("save"), st.sampled_from(["j1", "j2"])),
         st.tuples(st.just("torn"), st.sampled_from(["j1", "j2"])),
         st.tuples(st.just("settle"), _event_args),
+        st.tuples(st.just("batch"), st.lists(_event_args, min_size=1, max_size=3)),  # one log_events
     ),
     max_size=14,
 )
@@ -486,6 +487,9 @@ def test_the_write_through_cache_equals_a_fresh_parse(steps):
                 if op == "settle":
                     store.settle(store.job_record(job))
                 (other if op == "other" else store).log_event(Event(job, src, sseq, ts, kind, payload))
+            elif op == "batch":
+                job = arg[0][0]  # one job's events
+                store.log_events([Event(job, *rest) for _job, *rest in arg])
             elif op == "save":
                 try:
                     store.save_state(arg, [("step", "1")])
@@ -527,6 +531,33 @@ def test_an_append_to_a_cached_job_opens_one_file_and_fsyncs_once(tmp_path, monk
     monkeypatch.undo()
     assert sorted(calls) == ["fsync", "open"]
     assert not list((tmp_path / "lb").rglob("*.lock"))
+
+
+def test_a_batch_of_events_is_one_write_and_one_fsync(tmp_path, monkeypatch):
+    store = make_store(tmp_path)
+    register(store)
+    store.job_record("j1")  # cached
+    batch = [ev("Accepted", sseq=2, job="j1")] + [
+        ev("UserTag", sseq=3 + i, job="j1", payload={"name": name, "value": "v"}) for i, name in enumerate("ab")
+    ]
+    calls = []
+    for name in ("open", "write", "fsync"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    assert store.log_events(batch) == 3
+    monkeypatch.undo()
+    assert sorted(calls) == ["fsync", "open", "write"]
+    assert store.job_record("j1").user_tags == {"a": "v", "b": "v"}
+    size = events_file(store, "j1").stat().st_size
+    # each event is deduplicated on its own: only the new one is appended
+    assert store.log_events(batch + [ev("Matched", sseq=9, job="j1", payload={"destination": "CE1"})]) == 1
+    assert store.log_events(batch) == 0
+    assert events_file(store, "j1").stat().st_size > size
+    fresh = BookkeepingStore(tmp_path / "lb")
+    assert [e.as_dict() for e in fresh.events_of("j1")] == [e.as_dict() for e in store.events_of("j1")]
+    assert [e.kind for e in fresh.events_of("j1")] == ["Registered", "Accepted", "UserTag", "UserTag", "Matched"]
+    with pytest.raises(ValueError):
+        store.log_events([ev("Running", sseq=10, job="j1"), ev("Running", sseq=10, job="j2")])
 
 
 def test_a_torn_tail_stays_on_its_own_line(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import contextlib
 import dataclasses
 import logging
 import os
@@ -10,7 +12,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridwms import classad
 from gridwms.broker import (
@@ -23,7 +25,7 @@ from gridwms.broker import (
 )
 from gridwms.classad import MatchContext, evaluate, match_two, parse_ad, parse_expr, references_scope
 from gridwms.jdl import JobDescription, ValidationError, validate_job
-from gridwms.util import atomic_write_text, now_ms
+from gridwms.util import atomic_write_bytes, atomic_write_text, now_ms
 
 
 def ce_ad(rid, free=4, total=None, status="Production", close=(), price=2, group="physics", **extra):
@@ -201,16 +203,39 @@ def test_registry_sees_same_size_rewrite_with_old_mtime(tmp_path):
     assert free_cpus(registry) == 3
 
 
+class FrozenDirEntry:
+    """A directory entry whose stat is a fixed value."""
+
+    def __init__(self, entry: os.DirEntry, st):
+        self.name, self.path, self._st = entry.name, entry.path, st
+
+    def stat(self):
+        return self._st
+
+
+def freeze_stats(monkeypatch, frozen) -> None:
+    """Make every stat that the registry takes, from a directory entry or
+    from an open file, return `frozen`."""
+    real_scandir = os.scandir
+
+    def scandir(path):
+        with real_scandir(path) as listing:
+            return contextlib.nullcontext([FrozenDirEntry(e, frozen) for e in listing])
+
+    monkeypatch.setattr("gridwms.broker.os.scandir", scandir)
+    monkeypatch.setattr("gridwms.broker.os.fstat", lambda fd: frozen)
+
+
 def test_registry_reparses_racily_clean_file(tmp_path, monkeypatch):
     """Two versions with one stat key, as within one timestamp tick: a
     parse made close to the file's ctime is not reused, an old one is."""
     path = tmp_path / "ce1.ad"
     path.write_text(ce_ad("CE1", free=4, total=4).unparse())
     real = os.stat(path)
+    frozen = SimpleNamespace(st_ino=real.st_ino, st_size=real.st_size, st_mtime_ns=real.st_mtime_ns)
+    freeze_stats(monkeypatch, frozen)
     for ctime_ns, expected in ((time.time_ns(), 3), (time.time_ns() - 10 * RACY_MARGIN_NS, 4)):
-        frozen = SimpleNamespace(st_ino=real.st_ino, st_size=real.st_size,
-                                 st_mtime_ns=real.st_mtime_ns, st_ctime_ns=ctime_ns)
-        monkeypatch.setattr("gridwms.broker.os.fstat", lambda fd, frozen=frozen: frozen)
+        frozen.st_ctime_ns = ctime_ns
         path.write_text(ce_ad("CE1", free=4, total=4).unparse())
         registry = ResourceRegistry(static_dir=tmp_path)
         assert free_cpus(registry) == 4
@@ -269,6 +294,104 @@ def test_registry_warns_when_a_file_turns_invalid(tmp_path, caplog):
     assert len(caplog.records) == 3  # invalid in a new way
     assert all("ce9.ad" in r.getMessage() for r in caplog.records)
     assert "TotalCPUs must be an integer >= 1" in caplog.records[2].getMessage()
+
+
+def test_a_snapshot_of_unchanged_trusted_files_opens_and_parses_none(tmp_path, monkeypatch):
+    static, live = tmp_path / "static", tmp_path / "live"
+    static.mkdir()
+    live.mkdir()
+    (static / "ce1.ad").write_text(ce_ad("CE1").unparse())
+    (static / "se1.ad").write_text(se_ad("SE1").unparse())
+    (static / "bad.ad").write_text('[ Id = "CE9"; Type = "CE"; ]')
+    atomic_write_text(live / "ce2.ad", ce_ad("CE2").unparse())
+    time.sleep(2 * RACY_MARGIN_NS / 1e9)  # so that the first reads are trusted
+    registry = ResourceRegistry(static_dir=static, live_dir=live)
+    first = registry.snapshot()
+    opened, parsed = [], []
+    real_open, real_os_open, real_parse = builtins.open, os.open, classad.parse_ad
+    monkeypatch.setattr(builtins, "open", lambda file, *a, **k: opened.append(str(file)) or real_open(file, *a, **k))
+    monkeypatch.setattr(os, "open", lambda path, *a, **k: opened.append(str(path)) or real_os_open(path, *a, **k))
+    monkeypatch.setattr(classad, "parse_ad", lambda text: parsed.append(text) or real_parse(text))
+    second = registry.snapshot()
+    assert [p for p in opened if p.endswith(".ad")] == []
+    assert parsed == []
+    assert {rid: e.ad for rid, e in second.items()} == {rid: e.ad for rid, e in first.items()}
+    assert second["CE2"].last_update_ms == first["CE2"].last_update_ms
+
+
+def test_a_touched_heartbeat_keeps_its_parse_and_gets_the_new_mtime(tmp_path, monkeypatch):
+    path = tmp_path / "ce1.ad"
+    atomic_write_text(path, ce_ad("CE1").unparse())
+    registry = ResourceRegistry(live_dir=tmp_path)
+    registry.snapshot()
+    parsed = []
+    real_parse = classad.parse_ad
+    monkeypatch.setattr(classad, "parse_ad", lambda text: parsed.append(text) or real_parse(text))
+    later = time.time_ns() + 5_000_000_000
+    os.utime(path, ns=(later, later))
+    assert registry.get("CE1").last_update_ms == later // 1_000_000
+    assert parsed == []
+
+
+def registry_view(registry: ResourceRegistry, live_ids: set[str]) -> dict:
+    """What a snapshot says of each resource; a static fixture's last update
+    is the snapshot's own time, so only a live entry's is compared."""
+    return {
+        rid: (e.type, e.ad.unparse(), e.last_update_ms if rid in live_ids else None)
+        for rid, e in registry.snapshot().items()
+    }
+
+
+REGISTRY_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["atomic", "in_place", "utime", "delete", "invalid", "new", "wait"]),
+        st.sampled_from(["static", "live"]),
+        st.integers(0, 1),  # which file
+        st.integers(0, 9),  # FreeCPUs, one digit: every valid version of a file has one size
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=REGISTRY_STEPS)
+# a trusted read, then a rewrite that only the ctime shows, or a touch
+@example(steps=[("atomic", "static", 0, 1), ("wait", "static", 0, 0), ("in_place", "static", 0, 2)])
+@example(steps=[("atomic", "live", 1, 1), ("wait", "live", 1, 0), ("utime", "live", 1, 3)])
+def test_the_cached_registry_equals_a_fresh_one(tmp_path_factory, steps):
+    root = tmp_path_factory.mktemp("registry")
+    dirs = {"static": root / "static", "live": root / "live"}
+    for d in dirs.values():
+        d.mkdir()
+    cached = ResourceRegistry(static_dir=dirs["static"], live_dir=dirs["live"])
+    for op, where, n, free in steps:
+        path = dirs[where] / f"r{n}.ad"
+        text = ce_ad(f"CE{n}", free=free, total=9).unparse()
+        if op == "wait":
+            time.sleep(1.2 * RACY_MARGIN_NS / 1e9)  # past the racy margin
+        elif op == "atomic" or (op in ("in_place", "new") and not path.exists()):
+            atomic_write_text(path, text)
+        elif op == "new":
+            path.unlink()
+            path.write_text(text)  # a new file, likely on the old inode
+        elif op == "in_place" and path.stat().st_size == len(text):
+            before = path.stat()
+            with open(path, "r+") as fh:
+                fh.write(text)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        elif op == "in_place":
+            path.write_text(text)
+        elif op == "utime" and path.exists():
+            stamp = time.time_ns() - free * 1_000_000_000
+            os.utime(path, ns=(stamp, stamp))
+        elif op == "delete" and path.exists():
+            path.unlink()
+        elif op == "invalid":
+            invalid = f'[ Id = "CE{n}"; Type = "CE"; TotalCPUs = 0; ]'.encode()
+            atomic_write_bytes(path, b"\xff\xfe" + invalid if free % 2 else invalid)
+        live_ids = set(ResourceRegistry(live_dir=dirs["live"]).snapshot())
+        fresh = ResourceRegistry(static_dir=dirs["static"], live_dir=dirs["live"])
+        assert registry_view(cached, live_ids) == registry_view(fresh, live_ids)
 
 
 # -- gangmatching ----------------------------------------------------------------

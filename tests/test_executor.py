@@ -565,6 +565,34 @@ def test_heartbeat_publishes_free_slots(exec_spool):
     assert "FreeCPUs = 2" in live.read_text()
 
 
+def test_a_heartbeat_that_changes_nothing_only_touches_the_ad(exec_spool, monkeypatch):
+    service = make_service(exec_spool)
+    service.heartbeat()
+    live = exec_spool.resources_live / "CE1.ad"
+    before, text = live.stat(), live.read_text()
+    calls = []
+    monkeypatch.setattr(os, "fsync", lambda fd, real=os.fsync: calls.append("fsync") or real(fd))
+    monkeypatch.setattr(os, "rename", lambda *a, real=os.rename: calls.append("rename") or real(*a))
+    time.sleep(0.05)  # past a coarse timestamp tick
+    service.heartbeat()
+    assert calls == []
+    after = live.stat()
+    assert after.st_mtime_ns > before.st_mtime_ns
+    assert (after.st_ino, live.read_text()) == (before.st_ino, text)
+
+
+def test_a_heartbeat_rewrites_an_ad_whose_free_cpus_changed_or_that_is_missing(exec_spool):
+    service = make_service(exec_spool)
+    service.heartbeat()
+    live = exec_spool.resources_live / "CE1.ad"
+    service.ces["CE1"].running.add("h-1")
+    service.heartbeat()
+    assert "FreeCPUs = 1" in live.read_text()
+    live.unlink()
+    service.heartbeat()
+    assert "FreeCPUs = 1" in live.read_text()
+
+
 def test_idle_heartbeat_is_accepted_when_slots_exceed_total_cpus(spool, caplog):
     service = make_service(spool)  # default fixture: CE2 has Slots 3, TotalCPUs 2
     service.heartbeat()

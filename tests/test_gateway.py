@@ -277,6 +277,20 @@ def test_concurrent_submitters_distinct_ids(gw):
     assert len(set(ids)) == 30
 
 
+def test_a_submit_registers_its_job_in_two_appends(gw, monkeypatch):
+    layout, server = gw
+    appends = []
+    real_open_locked = BookkeepingStore._open_locked
+    monkeypatch.setattr(BookkeepingStore, "_open_locked",
+                        lambda self, job, create: appends.append(job) or real_open_locked(self, job, create))
+    jdl = '[ Executable = "/bin/true"; UserTags = [ era = "e1"; lane = "l1"; run = "r1" ]; ]'
+    job = server.core.dispatch("submit", "alice", {"jdl": jdl})["job"]
+    assert appends == [job, job]  # Registered, then Accepted with every UserTag
+    record = BookkeepingStore(layout.lb_root).job_record(job)
+    assert [e.kind for e in record.events] == ["Registered", "Accepted", "UserTag", "UserTag", "UserTag"]
+    assert record.user_tags == {"era": "e1", "lane": "l1", "run": "r1"}
+
+
 def test_colliding_job_id_is_drawn_again(gw, monkeypatch):
     layout, server = gw
     ids = iter(["wms-20260101-aaaaaa", "wms-20260101-aaaaaa", "wms-20260101-bbbbbb"])

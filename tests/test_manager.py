@@ -376,6 +376,28 @@ def test_resubmit_from_state_carries_pairs(manager):
     assert manager.lb.job_record("j16").attempt == 2
 
 
+def test_a_redelivered_resubmit_request_opens_one_attempt(manager, monkeypatch):
+    register(manager, "j16b", '[ Executable = "/x"; ]')
+    real_resolve = manager.broker.resolve
+    calls = []
+
+    def resolve_failing_once(job):
+        calls.append(job)
+        if len(calls) == 1:
+            raise ValidationError([])
+        return real_resolve(job)
+
+    monkeypatch.setattr(manager.broker, "resolve", resolve_failing_once)
+    manager.requests.enqueue({"kind": "resubmit_from_state", "job": "j16b"})
+    manager.process_requests()  # nacked once, then delivered again and staged
+    assert len(calls) == 2
+    record = manager.lb.job_record("j16b")
+    assert record.attempt == 2
+    assert [ev.kind for ev in record.events].count("Resubmitted") == 1
+    items = list(manager.executor_queue.iter_items())
+    assert SubmissionDescriptor.from_dict(json.loads(items[-1][2])["descriptor"]).attempt == 2
+
+
 def test_stuck_scan_requeues_orphaned_jobs(manager):
     register(manager, "j17", '[ Executable = "/x"; ]')
     # nobody enqueued a request (a crashed gateway): stuck scan re-drives
