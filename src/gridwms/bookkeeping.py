@@ -77,6 +77,11 @@ KINDS = (
     "UserTag",
 )
 
+# kinds that only mark a hand-off between components, like the gateway's
+# Released (a held job's request was enqueued once): derivation skips
+# them, as it skips UserTag, so the state machine's kinds stay KINDS
+MARKER_KINDS = ("Released",)
+
 
 class JobState(str, Enum):
     SUBMITTED = "SUBMITTED"
@@ -145,7 +150,7 @@ class Event:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown event source {self.source!r}")
-        if self.kind not in KINDS:
+        if self.kind not in KINDS and self.kind not in MARKER_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
     def as_dict(self) -> dict:

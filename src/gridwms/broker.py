@@ -4,9 +4,15 @@ and gangmatching over compute/storage element pairs.
 The broker is a Helper: resolve() maps a parsed job description to the
 same description augmented with the chosen resource (SubmitTo, plus
 ChosenSE when gangmatched), so it plugs into the workload manager or any
-other caller through that single method.  Each resolve reads the
-registry once: the match, the ranking, the gang pairs and the check that
-a given SubmitTo names a known CE all use that one snapshot.
+other caller through that single method.  A resolve reads one registry
+snapshot, held by a `MatchBatch` that a caller may share between the
+resolves of a batch of jobs: the match, the ranking, the gang pairs and
+the check that a given SubmitTo names a known CE all use that snapshot.
+
+Placement corrects the stale view of resources with the caller's own
+claims, as Condor's matchmaker does: `Requirements` see the published
+ad, while `Rank` sees a copy whose `FreeCPUs` is the CE's capacity minus
+the attempts the caller has matched there and not yet seen end.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import classad
 from .classad import (
@@ -85,6 +91,8 @@ class MatchResult:
 Candidate = tuple[str, str | None, float]  # (ceId, seId, rank)
 Resources = dict[str, ResourceEntry]  # one registry snapshot, by Id
 StrategyFn = Callable[[list[Candidate], int | None], Candidate]
+Pair = tuple[ResourceEntry, ResourceEntry | None]  # a matching CE, and its SE when gangmatched
+Claims = Mapping[str, int]  # CE Id -> attempts matched there that have not ended
 
 
 def _strategy_best(candidates: list[Candidate], seed: int | None) -> Candidate:
@@ -96,6 +104,13 @@ def _strategy_fuzzy(candidates: list[Candidate], seed: int | None, ratio: float 
     eligible = [c for c in candidates if c[2] >= ratio * top]
     rng = random.Random(seed)
     return eligible[rng.randrange(len(eligible))]
+
+
+def ce_capacity(ad: ClassAd) -> int:
+    """A CE's job slots: its `Slots`, or its `TotalCPUs` when it has no
+    `Slots`; at least one."""
+    slots = attr_value(ad, "slots") or attr_value(ad, "totalcpus")
+    return max(1, slots.value if isinstance(slots, Integer) else 1)
 
 
 def validate_resource_ad(ad: ClassAd) -> tuple[str, str]:
@@ -256,6 +271,24 @@ class ResourceRegistry:
         return sorted(self.snapshot().values(), key=lambda e: e.id)
 
 
+class MatchBatch:
+    """One registry snapshot for the resolves of a batch of jobs, taken
+    when first needed; `refresh` drops it."""
+
+    def __init__(self, registry: ResourceRegistry):
+        self.registry = registry
+        self._resources: Resources | None = None
+
+    @property
+    def resources(self) -> Resources:
+        if self._resources is None:
+            self._resources = self.registry.snapshot()
+        return self._resources
+
+    def refresh(self) -> None:
+        self._resources = None
+
+
 class Broker:
     """Matchmaker Helper over a resource registry."""
 
@@ -302,15 +335,34 @@ class Broker:
             if e.type == rtype and e.fresh(self.ttl_seconds, now) and e.id not in exclude
         ]
 
+    def _ranked(self, job: JobDescription, pairs: list[Pair], claims: Claims | None = None) -> list[Candidate]:
+        """Each pair with the job's Rank.  With `claims`, Rank reads each
+        CE's FreeCPUs as its capacity minus its claims, which is negative
+        for a backlog."""
+        out: list[Candidate] = []
+        for ce, se in pairs:
+            ad = ce.ad
+            if claims is not None:
+                free = ce_capacity(ad) - claims.get(ce.id, 0)
+                ad = ad.with_attr("FreeCPUs", Literal(Integer(free)))
+            if se is None:
+                rank = rank_of(job.ad, ad)
+            elif job.rank is None:
+                rank = 0.0
+            else:
+                ctx = MatchContext({"self": job.ad, "other": ad, "ce": ad, "se": se.ad})
+                rank = rank_value(evaluate(job.rank, ctx))
+            out.append((ce.id, se.id if se else None, rank))
+        return out
+
     # -- plain matchmaking -------------------------------------------------
 
-    def _candidates(self, job: JobDescription, resources: Resources, exclude: tuple[str, ...]) -> list[Candidate]:
-        ces = self._fresh(resources, "CE", exclude)
-        return [(e.id, None, rank_of(job.ad, e.ad)) for e in ces if match_two(job.ad, e.ad)]
+    def _matches(self, job: JobDescription, resources: Resources, exclude: tuple[str, ...]) -> list[Pair]:
+        return [(e, None) for e in self._fresh(resources, "CE", exclude) if match_two(job.ad, e.ad)]
 
     def find_matches(self, job: JobDescription) -> list[str]:
         """All fresh CEs whose ad matches the job bilaterally, Id ascending."""
-        return [e.id for e in self._fresh(self.registry.snapshot(), "CE") if match_two(job.ad, e.ad)]
+        return [ce.id for ce, _se in self._matches(job, self.registry.snapshot(), ())]
 
     def rank_matches(self, job: JobDescription, ce_ids: list[str]) -> list[tuple[str, float]]:
         """(ceId, rank) pairs sorted by rank descending, Id ascending on ties."""
@@ -326,13 +378,14 @@ class Broker:
         seed: int | None = None,
         exclude: tuple[str, ...] = (),
     ) -> MatchResult:
-        return self._match(self._candidates(job, self.registry.snapshot(), exclude), strategy, seed)
+        pairs = self._matches(job, self.registry.snapshot(), exclude)
+        return self._match(self._ranked(job, pairs), strategy, seed)
 
     # -- gangmatching ---------------------------------------------------------
 
-    def _gang_candidates(self, job: JobDescription, resources: Resources, exclude: tuple[str, ...]) -> list[Candidate]:
+    def _gang_matches(self, job: JobDescription, resources: Resources, exclude: tuple[str, ...]) -> list[Pair]:
         ses = {e.id: e for e in self._fresh(resources, "SE")}
-        out: list[Candidate] = []
+        out: list[Pair] = []
         for ce in self._fresh(resources, "CE", exclude):
             close = attr_value(ce.ad, "closeses")
             if not isinstance(close, ListValue):
@@ -344,16 +397,14 @@ class Broker:
                     continue
                 ctx = MatchContext({"self": job.ad, "other": ce.ad, "ce": ce.ad, "se": se.ad})
                 verdict = evaluate(job.requirements, ctx)
-                if not (isinstance(verdict, classad.Boolean) and verdict.value):
-                    continue
-                rank = rank_value(evaluate(job.rank, ctx)) if job.rank is not None else 0.0
-                out.append((ce.id, se.id, rank))
+                if isinstance(verdict, classad.Boolean) and verdict.value:
+                    out.append((ce, se))
         return out
 
     def gang_candidates(self, job: JobDescription, exclude: tuple[str, ...] = ()) -> list[Candidate]:
         """(ce, se, rank) for every close pair satisfying the job's
         requirements evaluated with ce and se scopes bound."""
-        return self._gang_candidates(job, self.registry.snapshot(), exclude)
+        return self._ranked(job, self._gang_matches(job, self.registry.snapshot(), exclude))
 
     def gang_match(
         self,
@@ -366,20 +417,25 @@ class Broker:
 
     # -- the Helper surface ------------------------------------------------------
 
-    def resolve(self, job: JobDescription) -> JobDescription:
+    def resolve(
+        self, job: JobDescription, batch: MatchBatch | None = None, claims: Claims | None = None
+    ) -> JobDescription:
         """Description in, description out: augment with the resource choice
-        made on one registry snapshot.  Already-resolved input is returned
-        unchanged if its SubmitTo names a CE there, and refused otherwise.
+        made on the batch's snapshot (a snapshot of its own without one).
+        Already-resolved input is returned unchanged if its SubmitTo names a
+        CE there, and refused otherwise.  Rank reads `claims` when given.
         NoMatchingResourcesError propagates as a structured failure.
         """
-        resources = self.registry.snapshot()
+        batch = batch or MatchBatch(self.registry)
+        resources = batch.resources
         if job.submit_to:
             entry = resources.get(job.submit_to)
             if entry is None or entry.type != "CE":
                 raise ValidationError([Violation("value", "SubmitTo", f"names no CE {job.submit_to!r}")])
             return job
-        find = self._gang_candidates if references_scope(job.requirements, "se") else self._candidates
-        result = self._match(find(job, resources, tuple(job.excluded_ces)), None, None)
+        find = self._gang_matches if references_scope(job.requirements, "se") else self._matches
+        pairs = find(job, resources, tuple(job.excluded_ces))
+        result = self._match(self._ranked(job, pairs, claims), None, None)
         ad = job.ad.with_attr("SubmitTo", Literal(Text(result.ce_id)))
         if result.se_id:
             ad = ad.with_attr("ChosenSE", Literal(Text(result.se_id)))

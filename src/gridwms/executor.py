@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import classad
-from .broker import ResourceRegistry
+from .broker import ResourceRegistry, ce_capacity
 from .classad import Integer, attr_value
 from .errors import WmsError
 from .faults import crash_point
@@ -161,11 +161,12 @@ class Zygote:
     """The wrapper zygote process and the executor's end of its two pipes."""
 
     def __init__(self):
+        self.env = python_child_env()  # each wrapper's, before the variables its job adds
         self.proc = subprocess.Popen(
             [python_executable(), "-S", "-c", ZYGOTE_MAIN],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            env=python_child_env(),
+            env=self.env,
             start_new_session=True,
         )
         self._out = self.proc.stdout.fileno()
@@ -301,8 +302,7 @@ class ExecutorService:
         for rid, entry in ResourceRegistry(static_dir=resources_dir).snapshot().items():
             if entry.type != "CE":
                 continue
-            slots = attr_value(entry.ad, "slots") or attr_value(entry.ad, "totalcpus")
-            self.ces[rid] = SimCE(ce_id=rid, slots=max(1, slots.value if isinstance(slots, Integer) else 1))
+            self.ces[rid] = SimCE(ce_id=rid, slots=ce_capacity(entry.ad))
             self._ce_ads[rid] = entry.ad
 
     def _staged_path(self, handle: str) -> Path:
@@ -468,12 +468,6 @@ class ExecutorService:
         # from here on, a restart counts the attempt as started (see _load_attempts)
         run_dir.mkdir(parents=True, exist_ok=True)
         plan = job.descriptor.plan
-        env = python_child_env(plan.env)
-        env["WMS_SCRATCH"] = str(run_dir)
-        if self.fake_cpu_seconds is not None:
-            env.setdefault("WMS_FAKE_CPU_SECONDS", str(self.fake_cpu_seconds))
-        if self.gateway_addr:
-            env.setdefault("WMS_GATEWAY", self.gateway_addr)
         plan_path = run_dir / "plan.json"
         # no fsync: only this wrapper reads the plan, and after a crash the
         # run directory alone makes recovery abort the attempt
@@ -481,6 +475,13 @@ class ExecutorService:
         try:
             if self._zygote is None:
                 self._zygote = Zygote()
+            # only what this job adds to the zygote's environment; the
+            # executor's settings yield to that environment's own values
+            env = {**plan.env, "WMS_SCRATCH": str(run_dir)}
+            if self.fake_cpu_seconds is not None and "WMS_FAKE_CPU_SECONDS" not in self._zygote.env:
+                env.setdefault("WMS_FAKE_CPU_SECONDS", str(self.fake_cpu_seconds))
+            if self.gateway_addr and "WMS_GATEWAY" not in self._zygote.env:
+                env.setdefault("WMS_GATEWAY", self.gateway_addr)
             proc = self._zygote.spawn(run_dir, plan_path, env)
         except ZygoteLostError as exc:
             self._kill_run_dir(job.handle)  # in case the wrapper was forked

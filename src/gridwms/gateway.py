@@ -49,6 +49,9 @@ log = logging.getLogger("gridwms.gateway")
 DEFAULT_PORT = 7846
 CHUNK_SIZE = 64 * 1024  # pre-base64 bytes per sandbox chunk
 
+# the Gateway's sseqs: 1 Registered, 2 Accepted, 3.. the user tags
+_SSEQ_RELEASED = 0
+
 
 class BadRequestError(WmsError):
     code = "BadRequest"
@@ -104,9 +107,12 @@ class GatewayCore:
     def _maybe_release(self, job_id: str) -> bool:
         """Enqueue the held request once every declared input file exists.
 
-        Also the crash-recovery path: a restarted gateway re-derives the
-        manifest from the stored JDL, so no in-memory hold state is needed
-        for correctness.
+        The first upload to complete the sandbox appends the job's Released
+        event, whose fixed sseq makes any later append a duplicate, and only
+        that upload enqueues.  A crash between the append and the enqueue
+        leaves a job that the manager's stuck scan re-drives.  A restarted
+        gateway re-derives the manifest from the stored JDL, so no in-memory
+        hold state is needed for correctness.
         """
         record = self._record(job_id)
         if record.state not in (JobState.SUBMITTED, JobState.WAITING):
@@ -117,12 +123,8 @@ class GatewayCore:
             return False
         if not self.spool.inputs_complete(job_id, desc.input_sandbox):
             return False
-        for _seq, _state, payload in self.requests.iter_items():
-            try:
-                if json.loads(payload.decode("utf-8")).get("job") == job_id:
-                    return False  # already enqueued
-            except (ValueError, UnicodeDecodeError):
-                continue
+        if not self.lb.log_event(Event(job_id, "Gateway", _SSEQ_RELEASED, now_ms(), "Released", {})):
+            return False  # already released
         self._release("submit_dag" if isinstance(desc, DagDescription) else "submit", job_id)
         return True
 

@@ -6,10 +6,13 @@ only names a job: `{"kind": "submit"|"submit_dag"|"cancel", "job"}` or
 owner, environment and sandbox routing are read from its bookkeeping
 record, whose Registered event holds them.  A submit runs the Helper
 chain on the job description parsed once from that JDL -- the broker
-resolves it to a resource choice against one registry snapshot, refusing
-a SubmitTo that names no known CE, then the job adapter turns the
-resolved description into a submission descriptor with a concrete
-wrapper plan -- and the descriptor is enqueued for the executor.  The CE
+resolves it to a resource choice against the registry snapshot of the
+batch of requests, refusing a SubmitTo that names no known CE, then the
+job adapter turns the resolved description into a submission descriptor
+with a concrete wrapper plan -- and the descriptor is enqueued for the
+executor.  The broker ranks CEs by the manager's claims: the attempts it
+matched on each CE that have not ended, counted again by each scan pass
+and raised by each match in between.  The CE
 that an automatic resubmission excludes is named on the Resubmitted event
 that opened the attempt, so a request re-driven after a crash excludes it
 too.
@@ -42,7 +45,7 @@ from .bookkeeping import (
     JobRecord,
     JobState,
 )
-from .broker import Broker, NoMatchingResourcesError, ResourceEntry, ResourceRegistry
+from .broker import Broker, MatchBatch, NoMatchingResourcesError, ResourceEntry, ResourceRegistry
 from .classad import Integer, ListExpr, Literal, Text, attr_value
 from .errors import UnknownJobError, WmsError
 from .faults import crash_point
@@ -78,6 +81,18 @@ _STAGE_STAGED = 2
 _STAGE_NO_MATCH = 3
 _STAGE_CANCELLED = 4
 _STAGE_REFUSED = 5
+
+# an attempt in these states with a destination holds a claim on that CE
+CLAIMING_STATES = frozenset({JobState.READY, JobState.SCHEDULED, JobState.RUNNING})
+
+
+def count_claims(records: Iterable[JobRecord]) -> dict[str, int]:
+    """CE Id -> the attempts matched there that have not ended."""
+    claims: dict[str, int] = {}
+    for record in records:
+        if record.state in CLAIMING_STATES and record.destination:
+            claims[record.destination] = claims.get(record.destination, 0) + 1
+    return claims
 
 
 class MissingSandboxFileError(WmsError):
@@ -187,6 +202,8 @@ class WorkloadManager:
         self.scan_interval = scan_interval
         self._dag_cache: dict[str, DagDescription | None] = {}
         self._last_scan = 0.0
+        self.claims: dict[str, int] = {}  # CE Id -> attempts matched there that have not ended
+        self._started_ms = now_ms()
 
     # -- event helpers -----------------------------------------------------
 
@@ -205,8 +222,9 @@ class WorkloadManager:
 
     # -- request handling -----------------------------------------------------
 
-    def handle_request(self, item: QueueItem) -> None:
-        """Process one queue item; settles it exactly once.
+    def handle_request(self, item: QueueItem, batch: MatchBatch | None = None) -> None:
+        """Process one queue item; settles it exactly once.  A submit
+        matches on `batch`'s registry snapshot, or on one of its own.
 
         Malformed or unprocessable requests are nacked up to max_attempts
         deliveries, then dead-lettered with a Refused event.
@@ -215,11 +233,11 @@ class WorkloadManager:
             payload = item.json()
             kind = payload["kind"]
             if kind == "submit":
-                self._handle_submit(payload, item.seq)
+                self._handle_submit(payload, item.seq, batch)
             elif kind == "cancel":
                 self._handle_cancel(payload, item.seq)
             elif kind == "resubmit_from_state":
-                self._handle_resubmit(payload, item.seq)
+                self._handle_resubmit(payload, item.seq, batch)
             elif kind == "submit_dag":
                 self._handle_submit_dag(payload, item.seq)
             else:
@@ -262,7 +280,7 @@ class WorkloadManager:
                 return env, ev.payload.get("sandbox_source"), ev.payload.get("sandbox_prefix")
         return {}, None, None
 
-    def _handle_submit(self, payload: dict, item_seq: int) -> None:
+    def _handle_submit(self, payload: dict, item_seq: int, batch: MatchBatch | None) -> None:
         record = self.lb.job_record(payload["job"])
         if record.state in TERMINAL_STATES:
             return
@@ -276,9 +294,9 @@ class WorkloadManager:
             excluded = [*jd.excluded_ces, exclude]
             ad = jd.ad.with_attr("ExcludedCEs", ListExpr(tuple(Literal(Text(ce)) for ce in excluded)))
             jd = replace(jd, ad=ad, excluded_ces=excluded)
-        self._run_pipeline(record, jd, item_seq, state_seq=None)
+        self._run_pipeline(record, jd, item_seq, None, batch)
 
-    def _handle_resubmit(self, payload: dict, item_seq: int) -> None:
+    def _handle_resubmit(self, payload: dict, item_seq: int, batch: MatchBatch | None) -> None:
         job_id = payload["job"]
         record = self.lb.job_record(job_id)
         if record.state == JobState.CLEARED:
@@ -298,7 +316,7 @@ class WorkloadManager:
                 {"reason": "explicit resubmit", "request": str(item_seq)},
             )
             record = self.lb.job_record(job_id)
-        self._run_pipeline(record, validate_job(record.jdl), item_seq, state_seq)
+        self._run_pipeline(record, validate_job(record.jdl), item_seq, state_seq, batch)
 
     def _handle_cancel(self, payload: dict, item_seq: int) -> None:
         job_id = payload["job"]
@@ -333,18 +351,22 @@ class WorkloadManager:
 
     # -- the submit pipeline ------------------------------------------------
 
-    def _run_pipeline(self, record: JobRecord, job: JobDescription, item_seq: int, state_seq: int | None) -> None:
+    def _run_pipeline(
+        self, record: JobRecord, job: JobDescription, item_seq: int, state_seq: int | None, batch: MatchBatch | None
+    ) -> None:
         job_id, attempt = record.job, record.attempt
         crash_point("wm.before_match")
 
+        batch = batch or MatchBatch(self.broker.registry)
         resolved: JobDescription | None = None
         for i in range(self.match_retries):
             try:
-                resolved = self.broker.resolve(job)
+                resolved = self.broker.resolve(job, batch, self.claims)
                 break
             except NoMatchingResourcesError:
                 if i + 1 < self.match_retries:
                     time.sleep(self.retry_backoff)
+                    batch.refresh()
         if resolved is None:
             self._wm_event(
                 job_id,
@@ -357,7 +379,8 @@ class WorkloadManager:
         matched_payload = {"destination": resolved.submit_to}
         if resolved.chosen_se:
             matched_payload["se"] = resolved.chosen_se
-        self._wm_event(job_id, self._item_sseq(item_seq, _STAGE_MATCHED), "Matched", matched_payload)
+        if self._wm_event(job_id, self._item_sseq(item_seq, _STAGE_MATCHED), "Matched", matched_payload):
+            self.claims[resolved.submit_to] = self.claims.get(resolved.submit_to, 0) + 1
         crash_point("wm.after_match")
 
         pairs: list[tuple[str, str]] | None = None
@@ -702,20 +725,28 @@ class WorkloadManager:
     # -- lifecycle -------------------------------------------------------------
 
     def recover(self) -> None:
-        """Startup recovery: reclaim dead queue claims and immediately
-        re-drive orphaned jobs."""
+        """Startup recovery: reclaim dead queue claims, count the claims on
+        each CE, and immediately re-drive orphaned jobs.  A job whose newest
+        event is younger than this manager may be between the gateway's
+        Registered append and its enqueue, so the periodic stuck scan
+        handles it instead."""
         self.requests.recover_dead_owners()
         self.requests.recover_scan()
-        self.stuck_scan(self.lb.records(), min_age_ms=0)
+        records = list(self.lb.records())
+        self.claims = count_claims(records)
+        self.stuck_scan(records, min_age_ms=now_ms() - self._started_ms)
 
     def process_requests(self, batch: int = 8) -> int:
+        """Handle up to `batch` requests; their matches share one registry
+        snapshot, taken by the first match."""
         handled = 0
+        shared = MatchBatch(self.broker.registry)
         for _ in range(batch):
             item = self.requests.claim(self.owner)
             if item is None:
                 break
             crash_point("wm.after_claim")
-            self.handle_request(item)
+            self.handle_request(item, shared)
             handled += 1
         return handled
 
@@ -723,8 +754,10 @@ class WorkloadManager:
         """The four scans share one listing of the store's live jobs.  They
         act on disjoint states, and settle the jobs that no scan will act on
         again, so the next pass does not read them; a job that moves after
-        the listing waits for the next pass."""
+        the listing waits for the next pass.  The listing also counts the
+        claims afresh, which releases those of attempts that have ended."""
         records = list(self.lb.records())
+        self.claims = count_claims(records)
         self.abort_scan(records)
         self.dag_scan(records)
         self.charge_scan(records)

@@ -60,11 +60,11 @@ def flocked(lock_path: Path):
     """Exclusive advisory lock on a sidecar file, held for the duration of
     the block: for a lock over several files, as a file queue's.  An
     append-only log is locked through its own descriptor (`open_locked`).
+    The file's directory must exist.
 
     flock is released automatically if the holding process dies, which is
     what makes it safe to use in crash-prone components.
     """
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)

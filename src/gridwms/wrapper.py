@@ -18,9 +18,9 @@ The zygote's protocol is one line each way, on its stdin and stdout:
 The forked child calls `setsid()`, so killing its process group ends the
 wrapper and its job; changes into the run directory; writes `wrapper.pid`
 there by temp file and rename, before it runs anything; puts /dev/null
-on its standard streams, closes every other descriptor, takes the
-request's environment as its own, runs `run(plan)` and `os._exit`s with
-its return code.  The zygote learns of each exit from SIGCHLD through a
+on its standard streams, closes every other descriptor, adds the
+request's variables (the job's own) to the environment the zygote was
+started with, runs `run(plan)` and `os._exit`s with its return code.  The zygote learns of each exit from SIGCHLD through a
 wakeup pipe, not by polling, and exits at the end of its stdin.
 
 `python -m gridwms.wrapper plan.json`, or `python -S -c` with
@@ -299,7 +299,6 @@ def _wrapper_child(run_dir: str, plan_path: str, env: dict) -> int:
     for fd in (0, 1, 2):
         os.dup2(null, fd)
     os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-    os.environ.clear()
     os.environ.update(env)
     return run(plan_path)
 

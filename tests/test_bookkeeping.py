@@ -177,6 +177,24 @@ def test_derivation_matches_oracle_on_random_sequences():
         assert derive_state(events) == _oracle(events)
 
 
+def test_released_markers_never_move_the_state():
+    rng = random.Random(22)
+    for _ in range(300):
+        events = []
+        for i in range(rng.randint(0, 6)):
+            kind = rng.choice(KINDS)
+            payload = {"exitCode": rng.choice(["0", "1"])} if kind == "Done" else {}
+            events.append(ev(kind, sseq=i + 1, ts=rng.randint(1000, 1004), payload=payload))
+        marked = events + [ev("Released", sseq=0, src="Gateway", ts=rng.randint(1000, 1004))]
+        rng.shuffle(marked)
+        assert derive_state(marked) == derive_state(events)
+
+
+def test_an_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown event kind"):
+        ev("Releasd")
+
+
 # -- store behavior -----------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from gridwms import classad
 from gridwms.broker import (
     Broker,
     InvalidAdError,
+    MatchBatch,
     NoMatchingResourcesError,
     RACY_MARGIN_NS,
     ResourceRegistry,
@@ -599,3 +600,40 @@ def test_find_matches_agrees_with_brute_force_random():
             best = min(ranked, key=lambda p: (-p[1], p[0]))
             assert ranked[0] == best
             assert broker.select_resource(job).ce_id == best[0]
+
+
+# -- claims and batches -------------------------------------------------------
+
+
+def test_rank_reads_free_cpus_as_capacity_minus_claims():
+    broker = make_broker(ce_ad("CE1", free=4, total=4, Slots=3), ce_ad("CE2", free=2, total=2),
+                         ce_ad("CE3", free=1, total=8))  # capacity: Slots 3, TotalCPUs 2, TotalCPUs 8
+    job = validate_job('[ Executable = "/x"; ]')  # the default Rank, other.FreeCPUs
+    assert broker.resolve(job).submit_to == "CE1"  # without claims: the published FreeCPUs
+    assert broker.resolve(job, claims={}).submit_to == "CE3"
+    assert broker.resolve(job, claims={"CE3": 6}).submit_to == "CE1"  # 3, 2, 2
+    assert broker.resolve(job, claims={"CE1": 5, "CE2": 3, "CE3": 9}).submit_to == "CE2"  # -2, -1, -1: a backlog
+    assert broker.resolve(job, claims={"CE1": 4, "CE2": 3, "CE3": 9}).submit_to == "CE1"  # -1, -1, -1
+
+
+def test_requirements_see_the_published_ad_under_claims():
+    broker = make_broker(ce_ad("CE1", free=1, total=2), ce_ad("CE2", free=0, total=2))
+    job = validate_job('[ Executable = "/x"; Requirements = other.FreeCPUs > 0; ]')
+    assert broker.resolve(job, claims={"CE1": 7}).submit_to == "CE1"  # FreeCPUs -5 for its Rank only
+    gang = validate_job('[ Executable = "/x"; Requirements = se.AvailableSpace > 0 && ce.FreeCPUs > 0; '
+                        'Rank = ce.FreeCPUs; ]')
+    broker = make_broker(ce_ad("CE1", free=1, total=2, close=("SE1",)), ce_ad("CE2", free=2, total=2, close=("SE1",)),
+                         se_ad("SE1"))
+    assert broker.resolve(gang, claims={}).submit_to == "CE1"  # both rank 2: the lowest Id
+    assert broker.resolve(gang, claims={"CE1": 1}).submit_to == "CE2"  # ranks 1 and 2
+
+
+def test_a_batch_reads_one_snapshot_until_refreshed():
+    broker = make_broker(ce_ad("CE1"))
+    batch = MatchBatch(broker.registry)
+    assert broker.resolve(JOB, batch, {}).submit_to == "CE1"
+    broker.registry.upsert(ce_ad("CE1", status="Draining"))
+    broker.registry.upsert(ce_ad("CE2"))
+    assert broker.resolve(JOB, batch, {}).submit_to == "CE1"  # the batch's snapshot
+    batch.refresh()
+    assert broker.resolve(JOB, batch, {}).submit_to == "CE2"

@@ -8,6 +8,8 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -158,6 +160,33 @@ def test_execute_round_trip_output_sandbox(exec_spool, tmp_path):
     records = log_records(exec_spool)
     assert [r["kind"] for r in records] == ["Staged", "Committed", "Executing", "Terminated"]
     assert records[-1]["data"]["exitCode"] == 0
+
+
+def test_a_job_sees_the_python_path_and_its_own_variables(exec_spool, monkeypatch):
+    monkeypatch.delenv("WMS_FAKE_CPU_SECONDS", raising=False)
+    monkeypatch.delenv("WMS_GATEWAY", raising=False)
+    service = make_service(exec_spool, gateway_addr="127.0.0.1:1")
+    names = ["PYTHONPATH", "WMS_JOB_ID", "WMS_SCRATCH", "WMS_FAKE_CPU_SECONDS", "WMS_GATEWAY", "WMS_FIRST"]
+    script = "".join(f'echo "${name}" >> env.txt; ' for name in names)
+    first = descriptor(exec_spool, job="job-1", command=["/bin/sh", "-c", script], outputs=["env.txt"])
+    first = replace(first, plan=replace(first.plan, env={**first.plan.env, "WMS_FIRST": "yes"}))
+    second = descriptor(exec_spool, job="job-2", command=["/bin/sh", "-c", script], outputs=["env.txt"])
+    seen = {}
+    for desc in (first, second):  # forked by one zygote
+        if desc is second:  # the zygote's environment, not the executor's, decides
+            monkeypatch.setenv("WMS_GATEWAY", "127.0.0.1:2")
+        handle = service.stage(desc)
+        service.commit(handle)
+        run_until(service, lambda: handle not in service.jobs)
+        lines = (exec_spool.output_dir(desc.job_id) / "env.txt").read_text().splitlines()
+        seen[desc.job_id] = dict(zip(names, lines))
+    package_root = str(Path(executor_module.__file__).resolve().parent.parent)
+    for job, env in seen.items():
+        assert package_root in env["PYTHONPATH"].split(os.pathsep)
+        assert env["WMS_JOB_ID"] == job
+        assert env["WMS_SCRATCH"] == str(exec_spool.run_dir(f"{job}.1"))
+        assert (env["WMS_FAKE_CPU_SECONDS"], env["WMS_GATEWAY"]) == ("0.25", "127.0.0.1:1")
+    assert (seen["job-1"]["WMS_FIRST"], seen["job-2"]["WMS_FIRST"]) == ("yes", "")
 
 
 def test_exit_code_captured(exec_spool):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import time
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from gridwms import jdl as jdl_module
 from gridwms import manager as manager_module
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState, Query, QueryPredicate
 from gridwms.executor import ExecutorService
-from gridwms.filequeue import ACK
+from gridwms.filequeue import ACK, FileQueue
 from gridwms.gateway import GatewayCore
 from gridwms.jdl import ValidationError, validate_job
 from gridwms.layout import SpoolLayout
@@ -31,7 +32,7 @@ from gridwms.partition import (
 from gridwms.submission import SubmissionDescriptor
 from gridwms.util import now_ms
 
-from conftest import write_resource
+from conftest import default_fixture, write_resource
 
 
 @pytest.fixture
@@ -200,7 +201,9 @@ def test_submit_reaches_executor_queue(manager):
     record = manager.lb.job_record("j10")
     kinds = [e.kind for e in record.events]
     assert "Matched" in kinds and "Staged" in kinds
-    assert record.destination == "CE1"  # highest FreeCPUs wins the default rank
+    # the default Rank reads FreeCPUs as capacity minus claims: 2 on CE1
+    # and on CE2, and the tie goes to the lowest Id
+    assert record.destination == "CE1"
     items = list(manager.executor_queue.iter_items())
     assert len(items) == 1
     descriptor = SubmissionDescriptor.from_dict(json.loads(items[0][2])["descriptor"])
@@ -376,16 +379,54 @@ def test_resubmit_from_state_carries_pairs(manager):
     assert manager.lb.job_record("j16").attempt == 2
 
 
+@pytest.fixture
+def three_ces(tmp_path) -> WorkloadManager:
+    """CE1, CE2 and CE3 with 3, 3 and 2 slots; their ads publish 4, 2 and 7 FreeCPUs."""
+    layout = SpoolLayout(tmp_path / "spool").ensure()
+    default_fixture(layout.root)
+    return WorkloadManager(layout, match_retries=1)
+
+
+def test_requests_in_a_row_fill_the_ces_by_their_slots(three_ces, monkeypatch):
+    manager = three_ces
+    for i in range(8):
+        register(manager, f"j{i}", '[ Executable = "/x"; ]')
+        manager.requests.enqueue({"kind": "submit", "job": f"j{i}"})
+    snapshots = counted(monkeypatch, manager.registry, "snapshot")
+    assert manager.process_requests(batch=8) == 8
+    assert len(snapshots) == 1  # the batch shares one
+    placed = Counter(manager.lb.job_record(f"j{i}").destination for i in range(8))
+    assert placed == {"CE1": 3, "CE2": 3, "CE3": 2}
+    assert manager.claims == placed
+    manager.run_scans()  # the scan pass counts the same claims from the records
+    assert manager.claims == placed
+
+
+def test_claims_end_with_their_attempts_and_never_refuse_a_match(three_ces):
+    manager = three_ces
+    for i in range(9):
+        register(manager, f"j{i}", '[ Executable = "/x"; Requirements = other.FreeCPUs > 0; ]')
+        manager.requests.enqueue({"kind": "submit", "job": f"j{i}"})
+    drain(manager, rounds=2)
+    # the ninth is matched on a full CE: Requirements read the published ad
+    assert {manager.lb.job_record(f"j{i}").state for i in range(9)} == {JobState.READY}
+    assert sum(manager.claims.values()) == 9
+    for i in range(9):
+        manager.lb.log_event(Event(f"j{i}", "WM", 5, now_ms(), "Cancelled", {}))
+    manager.run_scans()
+    assert manager.claims == {}
+
+
 def test_a_redelivered_resubmit_request_opens_one_attempt(manager, monkeypatch):
     register(manager, "j16b", '[ Executable = "/x"; ]')
     real_resolve = manager.broker.resolve
     calls = []
 
-    def resolve_failing_once(job):
+    def resolve_failing_once(job, batch=None, claims=None):
         calls.append(job)
         if len(calls) == 1:
             raise ValidationError([])
-        return real_resolve(job)
+        return real_resolve(job, batch, claims)
 
     monkeypatch.setattr(manager.broker, "resolve", resolve_failing_once)
     manager.requests.enqueue({"kind": "resubmit_from_state", "job": "j16b"})
@@ -419,8 +460,19 @@ def test_scans_and_query_skip_a_job_with_no_event_yet(manager):
     assert [record.job for record in manager.lb.records()] == ["job-1"]
 
 
+def test_startup_leaves_a_job_registered_since_the_manager_started_to_the_gateway(manager):
+    time.sleep(0.002)  # the job's events are younger than the manager
+    register(manager, "j-new", '[ Executable = "/x"; ]')  # the gateway's appends, before its enqueue
+    manager.recover()
+    assert manager.requests.pending_count() == 0
+    manager.requests.enqueue({"kind": "submit", "job": "j-new"})  # the gateway's enqueue
+    drain(manager, rounds=2)
+    assert [ev.kind for ev in manager.lb.job_record("j-new").events].count("Matched") == 1
+
+
 def test_recover_drives_everything_found(manager):
     register(manager, "j18", '[ Executable = "/x"; ]')
+    manager = WorkloadManager(manager.spool, match_retries=1)  # a restart finds j18 orphaned
     manager.recover()
     manager.process_requests()
     assert manager.lb.job_record("j18").state == JobState.READY
@@ -617,6 +669,41 @@ def test_charge_scan_leaves_unpriced_and_undestined_jobs_uncharged(manager, wm_s
 def upload(core: GatewayCore, job: str, name: str, data: bytes = b"x") -> dict:
     return core.dispatch("sandbox-put", "alice", {"job": job, "name": name, "seq": 1, "eof": True,
                                                   "data": base64.b64encode(data).decode("ascii")})
+
+
+HELD_JDL = '[ Executable = "/bin/cat"; Arguments = "in.bin"; InputSandbox = {"in.bin"}; ]'
+
+
+def test_a_repeated_final_upload_releases_the_held_job_once(wm_spool, monkeypatch):
+    core = GatewayCore(wm_spool)
+    job = core.dispatch("submit", "alice", {"jdl": HELD_JDL})["job"]
+    monkeypatch.setattr(core.requests, "iter_items", lambda: pytest.fail("a release read the request queue"))
+    assert upload(core, job, "in.bin")["released"]
+    assert not upload(core, job, "in.bin")["released"]
+    assert FileQueue(wm_spool.wm_requests).pending_count() == 1
+    assert [ev.kind for ev in core.lb.events_of(job)].count("Released") == 1
+
+
+def test_a_release_lost_between_its_event_and_its_enqueue_is_re_driven(wm_spool, monkeypatch):
+    core = GatewayCore(wm_spool)
+    manager = WorkloadManager(wm_spool, match_retries=1)
+    job = core.dispatch("submit", "alice", {"jdl": HELD_JDL})["job"]
+
+    class Killed(Exception):
+        pass
+
+    def killed(payload):
+        raise Killed  # the gateway dies after the Released append, before its enqueue
+
+    monkeypatch.setattr(core.requests, "enqueue", killed)
+    with pytest.raises(Killed):
+        upload(core, job, "in.bin")
+    core = GatewayCore(wm_spool)
+    assert not upload(core, job, "in.bin")["released"]  # released already: no second enqueue
+    assert FileQueue(wm_spool.wm_requests).pending_count() == 0
+    assert manager.stuck_scan(manager.lb.records(), min_age_ms=0) == 1
+    manager.process_requests()
+    assert manager.lb.job_record(job).state == JobState.READY
 
 
 def test_stuck_scan_leaves_job_held_for_its_sandbox(wm_spool):
