@@ -10,10 +10,12 @@ The ledger file (one JSON entry per line, append-only) is the source of
 truth; balances are a fold over initial funding plus entries and are
 recomputed on load, and again whenever the file's size is not the one
 this instance last folded.  The entries themselves are read from the
-file when asked for, so a `Ledger` holds no list of them.  A charge or
-transfer opens the file once and flocks that descriptor (no sidecar lock
-file); a torn last line left by a crash stays on its own line, which
-the fold skips.
+file when asked for, so a `Ledger` holds no list of them.  A batch of
+charges or a transfer opens the file once, flocks that descriptor (no
+sidecar lock file) and appends its entries with one write and one
+fsync; a torn last line left by a crash stays on its own line, which
+the fold skips, so a charge torn that way is not in the ledger and is
+made again by the next charge of its attempt.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import classad
 from .classad import AdValue, Integer, ListValue, Text, attr_value
@@ -100,6 +102,20 @@ class LedgerEntry:
             cpu_seconds=obj.get("cpuSeconds"),
             price_per_cpu_second=obj.get("price"),
         )
+
+
+@dataclass(frozen=True)
+class Charge:
+    """One executed attempt to charge: its user pays the resource's owning
+    group for the CPU time it used there."""
+
+    job_id: str
+    user_account: str
+    ce_id: str
+    cpu_seconds: float
+    price_per_cpu_second: int
+    owner_group: str
+    attempt: int = 1
 
 
 def job_cost(cpu_seconds: float, price_per_cpu_second: int) -> int:
@@ -208,9 +224,9 @@ class Ledger:
             self._accounts[account_id] = acct
         return acct
 
-    def _append(self, fd: int, size: int, entry: LedgerEntry) -> None:
-        self._size = append_locked(fd, size, json.dumps(entry.as_dict(), sort_keys=True))
-        self._apply(entry)
+    def _write(self, fd: int, size: int, entries: list[LedgerEntry]) -> None:
+        lines = "\n".join(json.dumps(entry.as_dict(), sort_keys=True) for entry in entries)
+        self._size = append_locked(fd, size, lines)
 
     # -- operations ------------------------------------------------------
 
@@ -236,7 +252,8 @@ class Ledger:
                 ts=now_ms(),
                 memo=memo,
             )
-            self._append(fd, size, entry)
+            self._write(fd, size, [entry])
+            self._apply(entry)
             return entry.entry_id
 
     def charge_job(
@@ -249,49 +266,61 @@ class Ledger:
         owner_group: str,
         attempt: int = 1,
     ) -> str:
-        """Charge the user for an executed job, crediting the resource's
-        owning group.  Idempotent per (job, attempt).
+        """Charge one executed job: `charge_jobs` of a batch of one."""
+        charge = Charge(job_id, user_account, ce_id, cpu_seconds, price_per_cpu_second, owner_group, attempt)
+        return self.charge_jobs([charge])[0]
+
+    def charge_jobs(self, charges: Iterable[Charge]) -> list[str]:
+        """Charge each user for an executed job, crediting the resource's
+        owning group, with one write and one fsync for the whole batch.
+        Idempotent per (job, attempt): a charge already in the ledger, or
+        repeated in the batch, appends nothing.  Returns each charge's
+        entry id, the earlier one for a repeat.
 
         A user who cannot pay gets a zero-amount deficit entry instead;
         accounting never retroactively fails jobs.
         """
         with self._locked() as (fd, size):
-            charged = self._charged.get((job_id, attempt))
-            if charged is not None:
-                return charged
-            user = self._ensure(user_account, "User")
-            self._ensure(owner_group, "Group")
-            cost = job_cost(cpu_seconds, price_per_cpu_second)
-            if user.balance < cost:
-                entry = LedgerEntry(
-                    entry_id=f"e-{self._count + 1}",
-                    kind=KIND_DEFICIT,
-                    src=user_account,
-                    dst=owner_group,
-                    amount=0,
-                    ts=now_ms(),
-                    memo=f"insufficient credits for {cost} (job {job_id}, ce {ce_id})",
-                    job_id=job_id,
-                    attempt=attempt,
-                    cpu_seconds=cpu_seconds,
-                    price_per_cpu_second=price_per_cpu_second,
-                )
-            else:
-                entry = LedgerEntry(
-                    entry_id=f"e-{self._count + 1}",
-                    kind=KIND_CHARGE,
-                    src=user_account,
-                    dst=owner_group,
-                    amount=cost,
-                    ts=now_ms(),
-                    memo=f"job {job_id} on {ce_id}",
-                    job_id=job_id,
-                    attempt=attempt,
-                    cpu_seconds=cpu_seconds,
-                    price_per_cpu_second=price_per_cpu_second,
-                )
-            self._append(fd, size, entry)
-            return entry.entry_id
+            ids: list[str] = []
+            new: list[LedgerEntry] = []
+            try:
+                for charge in charges:
+                    charged = self._charged.get((charge.job_id, charge.attempt))
+                    if charged is None:
+                        entry = self._charge_entry(charge)
+                        self._apply(entry)  # later charges of the batch see this one
+                        new.append(entry)
+                        charged = entry.entry_id
+                    ids.append(charged)
+                if new:
+                    self._write(fd, size, new)
+            except BaseException:
+                self._replay(self._read())  # drop what this view applied but the file lacks
+                raise
+            return ids
+
+    def _charge_entry(self, charge: Charge) -> LedgerEntry:
+        user = self._ensure(charge.user_account, "User")
+        self._ensure(charge.owner_group, "Group")
+        cost = job_cost(charge.cpu_seconds, charge.price_per_cpu_second)
+        if user.balance < cost:
+            kind, amount = KIND_DEFICIT, 0
+            memo = f"insufficient credits for {cost} (job {charge.job_id}, ce {charge.ce_id})"
+        else:
+            kind, amount, memo = KIND_CHARGE, cost, f"job {charge.job_id} on {charge.ce_id}"
+        return LedgerEntry(
+            entry_id=f"e-{self._count + 1}",
+            kind=kind,
+            src=charge.user_account,
+            dst=charge.owner_group,
+            amount=amount,
+            ts=now_ms(),
+            memo=memo,
+            job_id=charge.job_id,
+            attempt=charge.attempt,
+            cpu_seconds=charge.cpu_seconds,
+            price_per_cpu_second=charge.price_per_cpu_second,
+        )
 
     # -- reads ----------------------------------------------------------------
 
@@ -324,6 +353,6 @@ class Ledger:
     def has_charge(self, job_id: str, attempt: int = 1) -> bool:
         """Answered from this instance's view, without reading the file:
         charges are never removed, so a stale view can only say "not
-        charged", and charge_job refreshes under the lock before it
+        charged", and charge_jobs refreshes under the lock before it
         charges."""
         return (job_id, attempt) in self._charged

@@ -37,7 +37,7 @@ from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
-from .accounting import Ledger
+from .accounting import Charge, Ledger
 from .bookkeeping import (
     TERMINAL_STATES,
     BookkeepingStore,
@@ -601,10 +601,12 @@ class WorkloadManager:
     # -- charging ------------------------------------------------------------
 
     def charge_scan(self, records: Iterable[JobRecord]) -> int:
-        """Charge each finished attempt once, from one registry snapshot.
-        A DAG container, or a job on a CE with no price, is never charged.
-        A finished job is settled once charged, or if it has nothing to charge."""
-        charged = 0
+        """Charge each finished attempt once, from one registry snapshot and
+        with one ledger write for the pass.  A DAG container, or a job on a
+        CE with no price, is never charged.  A finished job is settled once
+        its charge is written, or if it has nothing to charge."""
+        charges: list[Charge] = []
+        charged: list[JobRecord] = []
         resources: dict[str, ResourceEntry] | None = None
         for record in records:
             job_id = record.job
@@ -630,18 +632,16 @@ class WorkloadManager:
                         cpu = float(ev.payload["cpuSeconds"])
                     except ValueError:
                         cpu = 0.0
-            self.ledger.charge_job(
-                job_id,
-                record.owner or "unknown",
-                record.destination,
-                cpu,
-                price.value,
-                group.value,
-                attempt=record.attempt,
+            charges.append(
+                Charge(job_id, record.owner or "unknown", record.destination, cpu, price.value, group.value,
+                       record.attempt)
             )
-            self.lb.settle(record)
-            charged += 1
-        return charged
+            charged.append(record)
+        if charges:
+            self.ledger.charge_jobs(charges)
+            for record in charged:
+                self.lb.settle(record)
+        return len(charges)
 
     # -- stuck-job recovery -------------------------------------------------------
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
 from gridwms.accounting import (
+    Charge,
     InsufficientCreditsError,
     Ledger,
     UnknownAccountError,
@@ -161,3 +163,48 @@ def test_ledger_opened_before_another_charged_does_not_charge_again(tmp_path):
     assert stale.has_charge("job-1", 1)
     assert len(Ledger(tmp_path / "ledger.log").entries()) == 1
     assert stale.balance("alice") == fresh.balance("alice") == 94
+
+
+def test_a_batch_of_charges_appends_each_new_one_in_one_write(tmp_path, monkeypatch):
+    ledger = make_ledger(tmp_path, {"group": ("Group", 0), "alice": ("User", 100)})
+    first = ledger.charge_job("job-1", "alice", "CE1", 1.0, 2, "group")
+    batch = [
+        Charge("job-1", "alice", "CE1", 1.0, 2, "group"),  # already in the ledger
+        Charge("job-2", "alice", "CE1", 1.5, 2, "group"),
+        Charge("job-2", "alice", "CE1", 1.5, 2, "group"),  # repeated in the batch
+        Charge("job-2", "alice", "CE1", 1.5, 2, "group", attempt=2),
+        Charge("job-3", "alice", "CE2", 4.0, 30, "group"),  # more than alice has left
+    ]
+    calls = []
+    for name in ("write", "fsync"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *a, name=name, real=real: (calls.append(name), real(*a))[1])
+    ids = ledger.charge_jobs(batch)
+    monkeypatch.undo()
+    assert calls == ["write", "fsync"]
+    assert ids[0] == first and ids[1] == ids[2] and len(set(ids)) == 4
+    entries = Ledger(tmp_path / "ledger.log", tmp_path / "accounts.ad").entries()
+    assert [(e.job_id, e.attempt, e.kind, e.amount) for e in entries] == [
+        ("job-1", 1, "charge", 2),
+        ("job-2", 1, "charge", 3),
+        ("job-2", 2, "charge", 3),
+        ("job-3", 1, "deficit", 0),  # the charges before it in the batch left 92
+    ]
+    assert [e.entry_id for e in entries] == ids[:2] + ids[3:]
+    assert ledger.balance("alice") == 92 and ledger.total() == 100
+
+
+def test_a_failed_batch_leaves_the_view_as_the_file(tmp_path, monkeypatch):
+    ledger = make_ledger(tmp_path, {"group": ("Group", 0), "alice": ("User", 100)})
+
+    def full(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full)
+    with pytest.raises(OSError):
+        ledger.charge_jobs([Charge("job-1", "alice", "CE1", 1.0, 2, "group")])
+    monkeypatch.undo()
+    assert not ledger.has_charge("job-1", 1)
+    assert ledger.balance("alice") == 100
+    ledger.charge_job("job-1", "alice", "CE1", 1.0, 2, "group")
+    assert ledger.balance("alice") == 98

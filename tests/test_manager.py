@@ -14,6 +14,7 @@ import pytest
 from gridwms import broker as broker_module
 from gridwms import jdl as jdl_module
 from gridwms import manager as manager_module
+from gridwms.accounting import Ledger
 from gridwms.bookkeeping import BookkeepingStore, Event, JobState, Query, QueryPredicate
 from gridwms.executor import ExecutorService
 from gridwms.filequeue import ACK, FileQueue
@@ -32,7 +33,7 @@ from gridwms.partition import (
 from gridwms.submission import SubmissionDescriptor
 from gridwms.util import now_ms
 
-from conftest import default_fixture, write_resource
+from conftest import default_fixture, write_accounts, write_resource
 
 
 @pytest.fixture
@@ -541,6 +542,28 @@ def test_pass_over_charged_jobs_does_not_read_the_ledger(manager, monkeypatch):
     manager.run_scans()
     assert refreshes == []
     assert len(manager.ledger.entries()) == len(jobs)
+
+
+def test_a_pass_charges_in_one_ledger_call_and_a_torn_batch_is_charged_again_once(wm_spool, monkeypatch):
+    write_accounts(wm_spool.root, {"alice": ("User", 1000), "physics": ("Group", 0)})
+    manager = WorkloadManager(wm_spool, match_retries=1, stuck_after=5.0)
+    jobs = [f"j-torn{i}" for i in range(3)]
+    for i, job in enumerate(jobs):
+        finished(manager, job, ("CE1", "CE2")[i % 2])
+    batches = counted(monkeypatch, manager.ledger, "charge_jobs")
+    manager.run_scans()
+    assert [len(batch) for batch in batches] == [3]
+    # a crash tore the batch's last line; the manager starts again
+    data = wm_spool.ledger_file.read_bytes()
+    wm_spool.ledger_file.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 10])
+    restarted = WorkloadManager(wm_spool, match_retries=1, stuck_after=5.0)
+    assert sum(restarted.ledger.has_charge(job, 1) for job in jobs) == 2
+    restarted.run_scans()
+    restarted.run_scans()
+    entries = restarted.ledger.entries()
+    assert sorted(e.job_id for e in entries) == jobs  # each charged exactly once
+    assert restarted.ledger.total() == 1000
+    assert Ledger(wm_spool.ledger_file, wm_spool.accounts_file).accounts() == restarted.ledger.accounts()
 
 
 def test_scans_forget_the_dag_of_finished_jobs(manager):
