@@ -331,13 +331,6 @@ class Ledger:
             raise UnknownAccountError(f"unknown account {account_id!r}")
         return acct.balance
 
-    def statement(self, account_id: str) -> list[LedgerEntry]:
-        self._refresh()
-        if account_id not in self._accounts:
-            raise UnknownAccountError(f"unknown account {account_id!r}")
-        involved = [e for e in self.entries() if account_id in (e.src, e.dst)]
-        return sorted(involved, key=lambda e: (e.ts, e.entry_id))
-
     def accounts(self) -> dict[str, Account]:
         self._refresh()
         return {aid: Account(a.id, a.kind, a.balance) for aid, a in self._accounts.items()}

@@ -240,6 +240,10 @@ def _derive_ordered(ordered: Sequence[Event]) -> tuple[JobState, int]:
 
 @dataclass
 class JobRecord:
+    """A job's derived view.  Destination, exit code and CPU time are the
+    current attempt's, read after the Resubmitted event that opened it; the
+    payloads are the store's shared ones, so read-only."""
+
     job: str
     owner: str
     jdl: str
@@ -251,6 +255,76 @@ class JobRecord:
     checkpoint_states: list[tuple[int, list[tuple[str, str]]]]
     events: list[Event] = field(default_factory=list)
     size: int = 0  # of the events file that the record was derived from
+    registered: dict[str, str] = field(default_factory=dict)  # the first Registered payload
+    opened: dict[str, str] | None = None  # the newest Resubmitted payload
+    cpu_seconds: float = 0.0  # from the attempt's last Done that carries one
+
+    @property
+    def newest_ts(self) -> int:
+        """The newest event's timestamp: canonical order sorts by it first."""
+        return self.events[-1].ts if self.events else 0
+
+
+def _record(job_id: str, size: int, ordered: list[Event]) -> JobRecord:
+    """A job's record from its events in canonical order, in one pass
+    after the state's."""
+    state, attempt = _derive_ordered(ordered)
+    registered: dict[str, str] | None = None
+    opened: dict[str, str] | None = None
+    destination: str | None = None
+    exit_code: int | None = None
+    cpu_seconds = 0.0
+    user_tags: dict[str, str] = {}
+    checkpoints: dict[int, list[tuple[str, str]]] = {}
+    for ev in ordered:
+        kind, payload = ev.kind, ev.payload
+        if kind == "Resubmitted":  # opens an attempt
+            opened, destination, exit_code, cpu_seconds = payload, None, None, 0.0
+            continue
+        dest = payload.get("destination")
+        if dest:
+            destination = dest
+        if kind == "Done":
+            try:
+                exit_code = int(payload.get("exitCode", ""))
+            except ValueError:
+                exit_code = None
+            if "cpuSeconds" in payload:
+                try:
+                    cpu_seconds = float(payload["cpuSeconds"])
+                except ValueError:
+                    cpu_seconds = 0.0
+        elif kind == "Registered":
+            if registered is None:
+                registered = payload
+        elif kind == "UserTag":
+            name = payload.get("name")
+            if name:
+                user_tags[name.lower()] = payload.get("value", "")
+        elif kind == "Chkpt":
+            try:
+                seq = int(payload.get("seq", ""))
+                pairs = [(str(k), str(v)) for k, v in json.loads(payload.get("pairs", "[]"))]
+            except ValueError:
+                continue
+            checkpoints[seq] = pairs
+    registered = registered or {}
+    return JobRecord(
+        job=job_id,
+        owner=registered.get("owner", ""),
+        jdl=registered.get("jdl", ""),
+        state=state,
+        attempt=attempt,
+        destination=destination,
+        exit_code=exit_code,
+        user_tags=user_tags,
+        checkpoint_states=sorted(checkpoints.items()),
+        events=ordered,
+        size=size,
+        registered=registered,
+        opened=opened,
+        cpu_seconds=cpu_seconds,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,63 +514,7 @@ class BookkeepingStore:
         size, ordered = self._load_events(job_id)
         if not ordered:
             raise UnknownJobError(f"job {job_id} is not registered")
-        ordered = list(ordered)
-        state, attempt = _derive_ordered(ordered)
-
-        owner, jdl = "", ""
-        for ev in ordered:
-            if ev.kind == "Registered":
-                owner = ev.payload.get("owner", owner)
-                jdl = ev.payload.get("jdl", jdl)
-                break
-
-        seg_start = 0
-        for i, ev in enumerate(ordered):
-            if ev.kind == "Resubmitted":
-                seg_start = i + 1
-
-        destination = None
-        exit_code: int | None = None
-        for ev in ordered[seg_start:]:
-            dest = ev.payload.get("destination")
-            if dest:
-                destination = dest
-            if ev.kind == "Done":
-                try:
-                    exit_code = int(ev.payload.get("exitCode", ""))
-                except ValueError:
-                    exit_code = None
-
-        user_tags: dict[str, str] = {}
-        for ev in ordered:
-            if ev.kind == "UserTag":
-                name = ev.payload.get("name")
-                if name:
-                    user_tags[name.lower()] = ev.payload.get("value", "")
-
-        checkpoints: dict[int, list[tuple[str, str]]] = {}
-        for ev in ordered:
-            if ev.kind == "Chkpt":
-                try:
-                    seq = int(ev.payload.get("seq", ""))
-                    pairs = [(str(k), str(v)) for k, v in json.loads(ev.payload.get("pairs", "[]"))]
-                except ValueError:
-                    continue
-                checkpoints[seq] = pairs
-
-        return JobRecord(
-            job=job_id,
-            owner=owner,
-            jdl=jdl,
-            state=state,
-            attempt=attempt,
-            destination=destination,
-            exit_code=exit_code,
-            user_tags=user_tags,
-            checkpoint_states=sorted(checkpoints.items()),
-            events=ordered,
-            size=size,
-        )
+        return _record(job_id, size, list(ordered))
 
     def settle(self, record: JobRecord) -> None:
         """Drop a job's parsed events because no scan will act on it again,
@@ -582,17 +600,10 @@ class BookkeepingStore:
             events = self._locked_events(job_id, fd, size)
             if not events:
                 raise UnknownJobError(f"job {job_id} is not registered")
-            state, _ = _derive_ordered(events)
-            if state == JobState.CLEARED:
+            record = _record(job_id, size, list(events))
+            if record.state == JobState.CLEARED:
                 raise UnknownJobError(f"job {job_id} is cleared")
-            seqs = []
-            for ev in events:
-                if ev.kind == "Chkpt":
-                    try:
-                        seqs.append(int(ev.payload.get("seq", "")))
-                    except ValueError:
-                        pass
-            seq = max(seqs, default=0) + 1
+            seq = max((s for s, _pairs in record.checkpoint_states), default=0) + 1
             sseq = max((e.sseq for e in events if e.source == "UI"), default=0) + 1
             event = Event(
                 job=job_id,

@@ -47,8 +47,8 @@ from .util import now_ms
 
 log = logging.getLogger("gridwms.broker")
 
-DEFAULT_TTL_SECONDS = 120.0
-DEFAULT_FUZZY_RATIO = 0.9
+TTL_SECONDS = 120.0  # a resource ad older than this is not matched
+FUZZY_RATIO = 0.9  # the fuzzy strategy picks among candidates ranked this close to the top
 
 
 class InvalidAdError(WmsError):
@@ -74,8 +74,8 @@ class ResourceEntry:
     ad: ClassAd
     last_update_ms: int
 
-    def fresh(self, ttl_seconds: float, now: int) -> bool:
-        return (now - self.last_update_ms) <= ttl_seconds * 1000
+    def fresh(self, now: int) -> bool:
+        return (now - self.last_update_ms) <= TTL_SECONDS * 1000
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ def _strategy_best(candidates: list[Candidate], seed: int | None) -> Candidate:
     return candidates[0]
 
 
-def _strategy_fuzzy(candidates: list[Candidate], seed: int | None, ratio: float = DEFAULT_FUZZY_RATIO) -> Candidate:
+def _strategy_fuzzy(candidates: list[Candidate], seed: int | None) -> Candidate:
     top = candidates[0][2]
-    eligible = [c for c in candidates if c[2] >= ratio * top]
+    eligible = [c for c in candidates if c[2] >= FUZZY_RATIO * top]
     rng = random.Random(seed)
     return eligible[rng.randrange(len(eligible))]
 
@@ -264,9 +264,6 @@ class ResourceRegistry:
                     entries[rid] = entry
         return entries
 
-    def get(self, rid: str) -> ResourceEntry | None:
-        return self.snapshot().get(rid)
-
     def list_resources(self) -> list[ResourceEntry]:
         return sorted(self.snapshot().values(), key=lambda e: e.id)
 
@@ -292,22 +289,10 @@ class MatchBatch:
 class Broker:
     """Matchmaker Helper over a resource registry."""
 
-    def __init__(
-        self,
-        registry: ResourceRegistry,
-        ttl_seconds: float = DEFAULT_TTL_SECONDS,
-        fuzzy_ratio: float = DEFAULT_FUZZY_RATIO,
-        default_strategy: str = "best",
-        default_seed: int | None = None,
-    ):
+    def __init__(self, registry: ResourceRegistry, default_strategy: str = "best"):
         self.registry = registry
-        self.ttl_seconds = ttl_seconds
         self.default_strategy = default_strategy
-        self.default_seed = default_seed
-        self._strategies: dict[str, StrategyFn] = {
-            "best": _strategy_best,
-            "fuzzy": lambda cands, seed: _strategy_fuzzy(cands, seed, fuzzy_ratio),
-        }
+        self._strategies: dict[str, StrategyFn] = {"best": _strategy_best, "fuzzy": _strategy_fuzzy}
 
     def register_strategy(self, name: str, fn: StrategyFn) -> None:
         """Plug in a selection strategy: fn(sorted_candidates, seed) -> candidate."""
@@ -323,7 +308,7 @@ class Broker:
         if not candidates:
             raise NoMatchingResourcesError("no matching resources")
         ordered = sorted(candidates, key=lambda c: (-c[2], c[0], c[1] or ""))
-        ce, se, rank = fn(ordered, self.default_seed if seed is None else seed)
+        ce, se, rank = fn(ordered, seed)
         return MatchResult(ce_id=ce, rank=rank, strategy=(strategy or self.default_strategy), se_id=se)
 
     def _fresh(self, resources: Resources, rtype: str, exclude: tuple[str, ...] = ()) -> list[ResourceEntry]:
@@ -332,7 +317,7 @@ class Broker:
         return [
             e
             for _rid, e in sorted(resources.items())
-            if e.type == rtype and e.fresh(self.ttl_seconds, now) and e.id not in exclude
+            if e.type == rtype and e.fresh(now) and e.id not in exclude
         ]
 
     def _ranked(self, job: JobDescription, pairs: list[Pair], claims: Claims | None = None) -> list[Candidate]:

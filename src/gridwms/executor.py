@@ -28,9 +28,10 @@ gridwms.wrapper), which the executor starts in its own session on the
 first job.  Per job the executor writes `run/<handle>/plan.json`, sends
 the zygote one request line and reads back the wrapper's pid; the zygote
 reports the wrapper's wait status when it reaps it, which `_reap` turns
-into a return code as `Popen.poll` does.  The child writes its own
-`wrapper.pid` before it runs the job, so a restart can kill the wrapper's
-process group even if the executor died before it saw the pid.  If the
+into a return code as `Popen.poll` does.  Before it replies, the zygote
+puts the wrapper in a process group of its own and writes its pid to
+`wrapper.pid`, so a restart can kill the wrapper's process group even if
+the executor died before it saw the pid.  If the
 zygote dies, or does not answer a request within `ZYGOTE_REPLY_TIMEOUT`,
 every wrapper it had started and not yet reported has its process group
 killed and its attempt aborted ("wrapper zygote lost"), as `recover()`
@@ -39,8 +40,8 @@ RetryCount, and the next job starts a new zygote.  The zygote exits when
 its request pipe closes: `close()`, which `run_forever` calls on its way
 out, or the death of the executor.
 
-When a tick takes no queue item, `run_forever` waits up to its poll
-period before the next one; while wrappers run, it waits on the zygote's
+When a tick takes no queue item, `run_forever` waits up to `IDLE_POLL`
+before the next one; while wrappers run, it waits on the zygote's
 pipe, so a wrapper's exit wakes it and its slot is refilled at once.
 """
 
@@ -83,7 +84,8 @@ TERMINAL_KINDS = ("Terminated", "Aborted", "Cancelled")
 LOG_KINDS = ("Staged", "Committed", "Executing") + TERMINAL_KINDS
 
 DEFAULT_COMMIT_TIMEOUT = 30.0
-DEFAULT_HEARTBEAT_PERIOD = 2.0
+HEARTBEAT_PERIOD = 2.0  # s between heartbeats
+IDLE_POLL = 0.05  # s to wait when a tick takes no queue item
 WRAPPER_SETUP_FAILED = 125
 # one wrapper as a process of its own: `python -S -c WRAPPER_MAIN plan.json`
 WRAPPER_MAIN = "from gridwms.wrapper import main; raise SystemExit(main())"
@@ -273,7 +275,6 @@ class ExecutorService:
         spool: SpoolLayout,
         resources_dir: Path | str | None = None,
         commit_timeout: float = DEFAULT_COMMIT_TIMEOUT,
-        heartbeat_period: float = DEFAULT_HEARTBEAT_PERIOD,
         fake_cpu_seconds: float | None = None,
         gateway_addr: str | None = None,
     ):
@@ -281,7 +282,6 @@ class ExecutorService:
         self.queue = FileQueue(spool.executor_submit)
         self.job_log = JobLog(spool.executor_log)
         self.commit_timeout = commit_timeout
-        self.heartbeat_period = heartbeat_period
         self.fake_cpu_seconds = fake_cpu_seconds
         self.gateway_addr = gateway_addr
         self.owner = f"executor-{os.getpid()}"
@@ -638,19 +638,19 @@ class ExecutorService:
         self._gc_uncommitted()
         self._reap()  # first, so that a slot freed now is filled in this tick
         self._schedule()
-        if time.monotonic() - self._last_heartbeat >= self.heartbeat_period:
+        if time.monotonic() - self._last_heartbeat >= HEARTBEAT_PERIOD:
             self.heartbeat()
             self._last_heartbeat = time.monotonic()
         return handled
 
-    def run_forever(self, stop: threading.Event | None = None, poll: float = 0.05) -> None:
+    def run_forever(self, stop: threading.Event | None = None) -> None:
         self.recover()
         self.heartbeat()
         try:
             while stop is None or not stop.is_set():
                 busy = self.tick()
                 if not busy:
-                    self._idle(poll)
+                    self._idle(IDLE_POLL)
         finally:
             self.close()
 

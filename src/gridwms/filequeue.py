@@ -107,7 +107,7 @@ class FileQueue:
     operation sequence at every prefix.
     """
 
-    def __init__(self, root: Path | str, create: bool = True):
+    def __init__(self, root: Path | str):
         self.root = Path(root)
         self.fault_hook: Callable[[str, str], None] | None = None
         # this instance's block of seqs: the next to issue, and the upper
@@ -116,10 +116,7 @@ class FileQueue:
         self._block_end = -1
         # seq -> (claimed file, deliveries) of each claim this instance holds
         self._claims: dict[int, tuple[Path, int]] = {}
-        if create:
-            self.root.mkdir(parents=True, exist_ok=True)
-        elif not self.root.is_dir():
-            raise StorageError(f"queue root {self.root} does not exist")
+        self.root.mkdir(parents=True, exist_ok=True)
 
     # -- internals ---------------------------------------------------
 
@@ -299,20 +296,26 @@ class FileQueue:
             raise StorageError(f"recover_scan failed: {exc}") from exc
         return recovered
 
-    def recover_dead_owners(self, is_alive: Callable[[str], bool] | None = None) -> int:
+    def recover_dead_owners(self) -> int:
         """Revert claims whose owner process is gone.
 
-        Owners are conventionally "<component>-<pid>"; the default probe
-        treats an owner as dead when its pid no longer exists.
+        Owners are conventionally "<component>-<pid>": an owner is dead
+        when its pid no longer exists, and one of another form is left alone.
         """
-        probe = is_alive or _owner_pid_alive
         recovered = 0
         try:
             with self._lock():
                 for seq, owner, delivered, path in self._items():
-                    if owner is not None and not probe(owner):
+                    _, _, pid = (owner or "").rpartition("-")
+                    if not pid.isdigit():
+                        continue  # unclaimed, or an owner of another form
+                    try:
+                        os.kill(int(pid), 0)  # raises unless the owner lives
+                    except ProcessLookupError:
                         self._revert(seq, delivered, path, "recover.dead")
                         recovered += 1
+                    except PermissionError:
+                        pass  # alive, and another user's
                 if recovered:
                     fsync_dir(self.root)
         except OSError as exc:
@@ -331,17 +334,3 @@ class FileQueue:
 
     def pending_count(self) -> int:
         return len(self._items())
-
-
-def _owner_pid_alive(owner: str) -> bool:
-    _, _, pid_text = owner.rpartition("-")
-    if not pid_text.isdigit():
-        return True  # unrecognized owner format: leave it alone
-    pid = int(pid_text)
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True

@@ -412,12 +412,6 @@ class GatewayServer(socketserver.ThreadingTCPServer):
         return self.server_address[0], self.server_address[1]
 
 
-def serve(spool: Path | str, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-          resources_dir: Path | str | None = None) -> GatewayServer:
-    core = GatewayCore(SpoolLayout(Path(spool)), resources_dir=resources_dir)
-    return GatewayServer(core, host, port)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="wms-gateway", description="network gateway daemon")
     parser.add_argument("--spool", default=os.environ.get("WMS_SPOOL"), required=False)
@@ -430,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s")
     os.environ.setdefault("WMS_SPOOL", args.spool)
     os.environ.setdefault("WMS_COMPONENT", "gateway")
-    server = serve(args.spool, args.host, args.port, args.resources)
+    server = GatewayServer(GatewayCore(SpoolLayout(Path(args.spool)), args.resources), args.host, args.port)
     log.info("gateway listening on %s:%d", *server.address)
     try:
         server.serve_forever(poll_interval=0.2)

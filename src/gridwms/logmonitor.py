@@ -26,6 +26,8 @@ from .util import atomic_write_text
 
 log = logging.getLogger("gridwms.logmonitor")
 
+IDLE_POLL = 0.05  # s to wait when a tick forwards nothing
+
 # executor record kind -> bookkeeping event kind
 KIND_MAP = {
     "Committed": "Committed",
@@ -124,10 +126,10 @@ class LogMonitor:
     def tick(self) -> int:
         return tail_and_translate(self.spool.executor_log, self.spool.executor_log_offset, self.store)
 
-    def run_forever(self, stop: threading.Event | None = None, poll: float = 0.05) -> None:
+    def run_forever(self, stop: threading.Event | None = None) -> None:
         while stop is None or not stop.is_set():
             if not self.tick():
-                time.sleep(poll)
+                time.sleep(IDLE_POLL)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -59,18 +59,19 @@ from .util import atomic_write_bytes, now_ms
 
 log = logging.getLogger("gridwms.manager")
 
-DEFAULT_MAX_ATTEMPTS = 3  # queue deliveries before dead-lettering
+MAX_ATTEMPTS = 3  # queue deliveries before dead-lettering
 DEFAULT_MATCH_RETRIES = 3
-DEFAULT_RETRY_BACKOFF = 1.0
+RETRY_BACKOFF = 1.0  # s between match retries
 DEFAULT_STUCK_AFTER = 30.0
-DEFAULT_SCAN_INTERVAL = 0.5
+SCAN_INTERVAL = 0.5  # s between scan passes
+IDLE_POLL = 0.05  # s to wait when a tick handles no request
+REQUEST_BATCH = 8  # requests handled per tick, matched on one registry snapshot
 
 # stable per-(job, source=WM) sequence ranges so replays deduplicate
 # exactly and distinct event classes never collide
 _SSEQ_NODE_REGISTERED = 16
 _SSEQ_NODE_ACCEPTED = 17
-_SSEQ_NODE_TAG_DAG = 18
-_SSEQ_NODE_TAG_NODE = 19
+_SSEQ_NODE_TAG_DAG = 18  # then the node tag at 19 and user tags from 20
 _SSEQ_DAG_FINAL = 10
 _SSEQ_NODE_ASSIGN_BASE = 64  # + node index, on the dag job
 _SSEQ_RESUBMIT_BASE = 1000  # + attempt being retired
@@ -175,13 +176,9 @@ class WorkloadManager:
         spool: SpoolLayout,
         resources_dir: Path | str | None = None,
         gateway_addr: str | None = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         match_retries: int = DEFAULT_MATCH_RETRIES,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         stuck_after: float = DEFAULT_STUCK_AFTER,
-        scan_interval: float = DEFAULT_SCAN_INTERVAL,
         strategy: str = "best",
-        broker_ttl: float = 120.0,
     ):
         self.spool = spool.ensure()
         self.lb = BookkeepingStore(spool.lb_root)
@@ -191,15 +188,12 @@ class WorkloadManager:
             static_dir=Path(resources_dir) if resources_dir else spool.resources_static,
             live_dir=spool.resources_live,
         )
-        self.broker = Broker(self.registry, default_strategy=strategy, ttl_seconds=broker_ttl)
+        self.broker = Broker(self.registry, default_strategy=strategy)
         self.adapter = JobAdapter(spool, gateway_addr)
         self.ledger = Ledger(spool.ledger_file, spool.accounts_file)
         self.owner = f"wm-{os.getpid()}"
-        self.max_attempts = max_attempts
         self.match_retries = match_retries
-        self.retry_backoff = retry_backoff
         self.stuck_after = stuck_after
-        self.scan_interval = scan_interval
         self._dag_cache: dict[str, DagDescription | None] = {}
         self._last_scan = 0.0
         self.claims: dict[str, int] = {}  # CE Id -> attempts matched there that have not ended
@@ -226,7 +220,7 @@ class WorkloadManager:
         """Process one queue item; settles it exactly once.  A submit
         matches on `batch`'s registry snapshot, or on one of its own.
 
-        Malformed or unprocessable requests are nacked up to max_attempts
+        Malformed or unprocessable requests are nacked up to MAX_ATTEMPTS
         deliveries, then dead-lettered with a Refused event.
         """
         try:
@@ -243,7 +237,7 @@ class WorkloadManager:
             else:
                 raise WmsError(f"unknown request kind {kind!r}")
         except (WmsError, KeyError, ValueError) as exc:
-            if item.attempts >= self.max_attempts:
+            if item.attempts >= MAX_ATTEMPTS:
                 log.error("dead-lettering request %s after %d attempts: %s", item.seq, item.attempts, exc)
                 self._dead_letter(item, str(exc))
                 self.requests.settle(item.seq, ACK)
@@ -265,20 +259,17 @@ class WorkloadManager:
                 job_id, self._item_sseq(item.seq, _STAGE_REFUSED), "Refused", {"reason": reason}
             )
 
-    def _registered_context(self, record) -> tuple[dict[str, str], str | None, str | None]:
+    def _registered_context(self, record: JobRecord) -> tuple[dict[str, str], str | None, str | None]:
         """The environment and sandbox routing that the Registered payload
         holds beside the JDL and owner (a DAG node's)."""
-        for ev in record.events:
-            if ev.kind == "Registered":
+        registered = record.registered
+        env = {}
+        if registered.get("env"):
+            try:
+                env = {str(k): str(v) for k, v in json.loads(registered["env"]).items()}
+            except ValueError:
                 env = {}
-                raw = ev.payload.get("env")
-                if raw:
-                    try:
-                        env = {str(k): str(v) for k, v in json.loads(raw).items()}
-                    except ValueError:
-                        env = {}
-                return env, ev.payload.get("sandbox_source"), ev.payload.get("sandbox_prefix")
-        return {}, None, None
+        return env, registered.get("sandbox_source"), registered.get("sandbox_prefix")
 
     def _handle_submit(self, payload: dict, item_seq: int, batch: MatchBatch | None) -> None:
         record = self.lb.job_record(payload["job"])
@@ -288,8 +279,7 @@ class WorkloadManager:
         if jd.job_type == "Partitionable":
             return  # decomposed and driven by the DAG engine; nothing to stage here
         # the Resubmitted event that opened this attempt names the CE it must avoid
-        opened = next((ev for ev in reversed(record.events) if ev.kind == "Resubmitted"), None)
-        exclude = opened.payload.get("exclude") if opened else None
+        exclude = record.opened.get("exclude") if record.opened else None
         if exclude and exclude not in jd.excluded_ces:
             excluded = [*jd.excluded_ces, exclude]
             ad = jd.ad.with_attr("ExcludedCEs", ListExpr(tuple(Literal(Text(ce)) for ce in excluded)))
@@ -307,8 +297,7 @@ class WorkloadManager:
             self.lb.get_state(job_id, state_seq)  # fail fast on a bad seq
         # the Resubmitted event names its request, so a redelivery of the
         # request continues the attempt it opened instead of opening another
-        opened = next((ev for ev in reversed(record.events) if ev.kind == "Resubmitted"), None)
-        if opened is None or opened.payload.get("request") != str(item_seq):
+        if record.opened is None or record.opened.get("request") != str(item_seq):
             self._wm_event(
                 job_id,
                 _SSEQ_RESUBMIT_BASE + record.attempt,
@@ -365,7 +354,7 @@ class WorkloadManager:
                 break
             except NoMatchingResourcesError:
                 if i + 1 < self.match_retries:
-                    time.sleep(self.retry_backoff)
+                    time.sleep(RETRY_BACKOFF)
                     batch.refresh()
         if resolved is None:
             self._wm_event(
@@ -520,13 +509,9 @@ class WorkloadManager:
         status = self._node_status(dag, record)
         actions = 0
         names = list(dag.nodes)
-        for name in names:
-            if status[name] == "Ready":
-                self._submit_node(dag_id, record, dag, name, names.index(name))
-                status[name] = "Submitted"
-                actions += 1
-            elif status[name] == "Assigned":
-                self._submit_node(dag_id, record, dag, name, names.index(name))
+        for index, name in enumerate(names):
+            if status[name] in ("Ready", "Assigned"):
+                self._submit_node(dag_id, record, dag, name, index)
                 status[name] = "Submitted"
                 actions += 1
         if all(s in ("Done", "Failed", "Unreachable") for s in status.values()):
@@ -571,30 +556,19 @@ class WorkloadManager:
         }
         if extra_env:
             registered_payload["env"] = json.dumps(extra_env, sort_keys=True)
-        try:
-            self.lb.log_event(
-                Event(node_id, "WM", _SSEQ_NODE_REGISTERED, now_ms(), "Registered", registered_payload)
-            )
-            self.lb.log_event(Event(node_id, "WM", _SSEQ_NODE_ACCEPTED, now_ms(), "Accepted", {}))
-            self.lb.log_event(
-                Event(node_id, "WM", _SSEQ_NODE_TAG_DAG, now_ms(), "UserTag", {"name": "dag", "value": dag_id})
-            )
-            self.lb.log_event(
-                Event(
-                    node_id,
-                    "WM",
-                    _SSEQ_NODE_TAG_NODE,
-                    now_ms(),
-                    "UserTag",
-                    {"name": "node", "value": name.lower()},
-                )
-            )
-            for i, (tag, value) in enumerate(sorted(node_jd.user_tags.items())):
-                self.lb.log_event(
-                    Event(node_id, "WM", 20 + i, now_ms(), "UserTag", {"name": tag, "value": value})
-                )
-        except UnknownJobError:  # pragma: no cover - Registered precedes
-            pass
+        # one append: a crash leaves all of the node's registration or none
+        ts = now_ms()
+        tags = [("dag", dag_id), ("node", name.lower()), *sorted(node_jd.user_tags.items())]
+        self.lb.log_events(
+            [
+                Event(node_id, "WM", _SSEQ_NODE_REGISTERED, ts, "Registered", registered_payload),
+                Event(node_id, "WM", _SSEQ_NODE_ACCEPTED, ts, "Accepted", {}),
+                *(
+                    Event(node_id, "WM", sseq, ts, "UserTag", {"name": tag, "value": value})
+                    for sseq, (tag, value) in enumerate(tags, _SSEQ_NODE_TAG_DAG)
+                ),
+            ]
+        )
         self.requests.enqueue({"kind": "submit", "job": node_id})
         crash_point("wm.after_node_enqueue")
 
@@ -625,16 +599,9 @@ class WorkloadManager:
             if not isinstance(price, Integer) or not isinstance(group, Text) or not group.value:
                 self.lb.settle(record)
                 continue
-            cpu = 0.0
-            for ev in record.events:
-                if ev.kind == "Done" and "cpuSeconds" in ev.payload:
-                    try:
-                        cpu = float(ev.payload["cpuSeconds"])
-                    except ValueError:
-                        cpu = 0.0
             charges.append(
-                Charge(job_id, record.owner or "unknown", record.destination, cpu, price.value, group.value,
-                       record.attempt)
+                Charge(job_id, record.owner or "unknown", record.destination, record.cpu_seconds, price.value,
+                       group.value, record.attempt)
             )
             charged.append(record)
         if charges:
@@ -704,8 +671,7 @@ class WorkloadManager:
                 continue
             if self._dag_for(job_id, record) is not None:
                 continue
-            newest = max((ev.ts for ev in record.events), default=0)
-            if now - newest < threshold:
+            if now - record.newest_ts < threshold:
                 continue
             if pending is None:
                 pending = self._pending_job_ids() | self._staged_job_ids()
@@ -736,12 +702,12 @@ class WorkloadManager:
         self.claims = count_claims(records)
         self.stuck_scan(records, min_age_ms=now_ms() - self._started_ms)
 
-    def process_requests(self, batch: int = 8) -> int:
-        """Handle up to `batch` requests; their matches share one registry
-        snapshot, taken by the first match."""
+    def process_requests(self) -> int:
+        """Handle up to REQUEST_BATCH requests; their matches share one
+        registry snapshot, taken by the first match."""
         handled = 0
         shared = MatchBatch(self.broker.registry)
-        for _ in range(batch):
+        for _ in range(REQUEST_BATCH):
             item = self.requests.claim(self.owner)
             if item is None:
                 break
@@ -766,16 +732,16 @@ class WorkloadManager:
 
     def tick(self) -> int:
         handled = self.process_requests()
-        if time.monotonic() - self._last_scan >= self.scan_interval:
+        if time.monotonic() - self._last_scan >= SCAN_INTERVAL:
             self.run_scans()
             self._last_scan = time.monotonic()
         return handled
 
-    def run_forever(self, stop: threading.Event | None = None, poll: float = 0.05) -> None:
+    def run_forever(self, stop: threading.Event | None = None) -> None:
         self.recover()
         while stop is None or not stop.is_set():
             if not self.tick():
-                time.sleep(poll)
+                time.sleep(IDLE_POLL)
 
 
 def main(argv: list[str] | None = None) -> int:

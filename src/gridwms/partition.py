@@ -9,15 +9,10 @@ on every sub-job and merges their final saved states.
 from __future__ import annotations
 
 from .classad import ClassAd, Integer, ListExpr, Literal, SubAd, Text
-from .errors import WmsError
 from .jdl import DagDescription, JobDescription, ValidationError, Violation, validate_dag
 from .util import python_executable
 
 AGGREGATOR_NODE = "aggregator"
-
-
-class SubJobIncompleteError(WmsError):
-    code = "SubJobIncomplete"
 
 
 def step_ranges(job_steps: int, sub_jobs: int) -> list[tuple[int, int]]:
@@ -98,27 +93,3 @@ def merge_pairs(states: dict[str, list[tuple[str, str]]]) -> list[tuple[str, str
             merged.append((f"{node}.{var}", value))
     return merged
 
-
-def merge_states(store, sub_job_ids: list[str]) -> list[tuple[str, str]]:
-    """Merge the final saved state of each finished sub-job.
-
-    Raises SubJobIncompleteError naming every sub-job that is not DONE_OK
-    or has no saved state.
-    """
-    from .bookkeeping import JobState, NoSuchStateError
-
-    offenders = []
-    states: dict[str, list[tuple[str, str]]] = {}
-    for job_id in sub_job_ids:
-        record = store.job_record(job_id)
-        node = record.user_tags.get("node", job_id)
-        if record.state != JobState.DONE_OK:
-            offenders.append(f"{node} ({record.state.value})")
-            continue
-        try:
-            states[node] = store.get_state(job_id)
-        except NoSuchStateError:
-            offenders.append(f"{node} (no saved state)")
-    if offenders:
-        raise SubJobIncompleteError("incomplete sub-jobs: " + ", ".join(sorted(offenders)))
-    return merge_pairs(states)

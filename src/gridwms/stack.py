@@ -33,7 +33,6 @@ class Stack:
         fake_cpu_seconds: float | None = None,
         match_retries: int = DEFAULT_MATCH_RETRIES,
         stuck_after: float = DEFAULT_STUCK_AFTER,
-        strategy: str = "best",
     ):
         self.spool = SpoolLayout(Path(spool)).ensure()
         self.server = GatewayServer(GatewayCore(self.spool, resources_dir), host, port)
@@ -44,7 +43,6 @@ class Stack:
             gateway_addr=self.address,
             match_retries=match_retries,
             stuck_after=stuck_after,
-            strategy=strategy,
         )
         self.executor = ExecutorService(
             self.spool,

@@ -11,17 +11,21 @@ job starts with nothing left to import or compile.  `-S` skips `site` and its `.
 The zygote's protocol is one line each way, on its stdin and stdout:
 
     {"dir": <run dir>, "plan": <plan.json>, "env": {..}}   one request per job
-    pid <pid>                  the reply, at once, after the fork
+    pid <pid>                  the reply, after the fork and the pid file
     error <message>            the reply when the fork or the request failed
     exit <pid> <wait status>   when the zygote has reaped that wrapper
 
-The forked child calls `setsid()`, so killing its process group ends the
-wrapper and its job; changes into the run directory; writes `wrapper.pid`
-there by temp file and rename, before it runs anything; puts /dev/null
-on its standard streams, closes every other descriptor, adds the
-request's variables (the job's own) to the environment the zygote was
-started with, runs `run(plan)` and `os._exit`s with its return code.  The zygote learns of each exit from SIGCHLD through a
-wakeup pipe, not by polling, and exits at the end of its stdin.
+Before it replies, the zygote puts the forked child in a process group of
+its own, so killing that group ends the wrapper and its job, and writes
+the child's pid to `wrapper.pid` in the run directory by temp file and
+rename: a restart that follows the reply at once finds both.  The child
+makes the same group itself first thing (whichever `setpgid` runs first
+makes it), changes into the run directory, puts /dev/null on its
+standard streams, closes every other descriptor, adds the request's
+variables (the job's own) to the environment the zygote was started
+with, runs `run(plan)` and `os._exit`s with its return code.  The zygote
+learns of each exit from SIGCHLD through a wakeup pipe, not by polling,
+and exits at the end of its stdin.
 
 `python -m gridwms.wrapper plan.json`, or `python -S -c` with
 `gridwms.executor.WRAPPER_MAIN`, runs one wrapper as a process of its own
@@ -288,13 +292,8 @@ def _wrapper_child(run_dir: str, plan_path: str, env: dict) -> int:
 
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-    os.setsid()
+    os.setpgid(0, 0)  # as the zygote does: whichever call runs first makes the group
     os.chdir(run_dir)
-    # renamed into place, so a restart never reads a torn pid; no fsync, as
-    # a crash of the machine ends the wrapper too
-    with open(".wrapper.pid.tmp", "w") as fh:
-        fh.write(str(os.getpid()))
-    os.replace(".wrapper.pid.tmp", "wrapper.pid")
     null = os.open(os.devnull, os.O_RDWR)
     for fd in (0, 1, 2):
         os.dup2(null, fd)
@@ -318,6 +317,29 @@ def _fork_wrapper(line: bytes) -> None:
             code = _wrapper_child(run_dir, plan_path, env)
         finally:
             os._exit(code)  # never back into the zygote's loop
+    try:
+        os.setpgid(pid, pid)
+    except (ProcessLookupError, PermissionError):
+        pass  # the child's own call made the group, or it has exited
+    try:
+        # renamed into place, so a restart never reads a torn pid; no fsync,
+        # as a crash of the machine ends the wrapper too
+        tmp = os.path.join(run_dir, ".wrapper.pid.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            os.write(fd, str(pid).encode())
+        finally:
+            os.close(fd)
+        os.replace(tmp, os.path.join(run_dir, "wrapper.pid"))
+    except OSError as exc:
+        import signal
+
+        try:
+            os.killpg(pid, signal.SIGKILL)  # a wrapper that a restart could not find does not run
+        except ProcessLookupError:
+            pass  # it has exited
+        _reply("error " + " ".join(f"wrapper.pid not written: {exc}".split()))
+        return
     _reply(f"pid {pid}")
 
 

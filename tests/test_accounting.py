@@ -59,8 +59,6 @@ def test_unknown_account(tmp_path):
         ledger.transfer("nobody", "alice", 1)
     with pytest.raises(UnknownAccountError):
         ledger.balance("nobody")
-    with pytest.raises(UnknownAccountError):
-        ledger.statement("nobody")
 
 
 def test_job_cost_ceiling_and_minimum():
@@ -104,16 +102,6 @@ def test_charge_auto_creates_accounts_at_zero(tmp_path):
     ledger.charge_job("job-3", "carol", "CE1", 4.0, 1, "newgroup")
     assert ledger.balance("carol") == 0  # deficit path: nothing to pay with
     assert ledger.balance("newgroup") == 0
-
-
-def test_statement_in_timestamp_order(tmp_path):
-    ledger = make_ledger(tmp_path, {"group": ("Group", 100), "alice": ("User", 50)})
-    ledger.transfer("group", "alice", 10)
-    ledger.transfer("alice", "group", 5)
-    ledger.transfer("group", "alice", 1)
-    stmt = ledger.statement("alice")
-    assert [e.amount for e in stmt] == [10, 5, 1]
-    assert all(a.ts <= b.ts for a, b in zip(stmt, stmt[1:]))
 
 
 def test_conservation_under_random_operations(tmp_path):

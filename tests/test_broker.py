@@ -51,11 +51,11 @@ def se_ad(rid, space=1000):
     return parse_ad(f'[ Id = "{rid}"; Type = "SE"; AvailableSpace = {space}; ]')
 
 
-def make_broker(*ads, ttl=120.0, strategy="best") -> Broker:
+def make_broker(*ads) -> Broker:
     registry = ResourceRegistry()
     for ad in ads:
         registry.upsert(ad)
-    return Broker(registry, ttl_seconds=ttl, default_strategy=strategy)
+    return Broker(registry)
 
 
 JOB = validate_job('[ Executable = "/bin/x"; Requirements = other.FreeCPUs > 0 && other.Status == "Production"; ]')
@@ -161,7 +161,7 @@ def test_stale_resources_excluded():
     registry = ResourceRegistry()
     registry.upsert(ce_ad("CE1"), last_update_ms=now_ms() - 600_000)
     registry.upsert(ce_ad("CE2", free=2, total=2))
-    broker = Broker(registry, ttl_seconds=120)
+    broker = Broker(registry)
     assert broker.find_matches(JOB) == ["CE2"]
 
 
@@ -172,7 +172,7 @@ def test_registry_file_sources(tmp_path):
     live.mkdir()
     (static / "ce1.ad").write_text(ce_ad("CE1", free=4).unparse())
     registry = ResourceRegistry(static_dir=static, live_dir=live)
-    broker = Broker(registry, ttl_seconds=120)
+    broker = Broker(registry)
     assert broker.find_matches(JOB) == ["CE1"]
     # a live heartbeat overrides the fixture
     (live / "ce1.ad").write_text(ce_ad("CE1", free=0, total=4).unparse())
@@ -186,7 +186,7 @@ def test_registry_file_sources(tmp_path):
 
 
 def free_cpus(registry: ResourceRegistry, rid: str = "CE1") -> int:
-    entry = registry.get(rid)
+    entry = registry.snapshot().get(rid)
     return classad.attr_value(entry.ad, "freecpus").value
 
 
@@ -252,7 +252,7 @@ def test_registry_reuses_parse_of_unchanged_file(tmp_path, monkeypatch):
     monkeypatch.setattr(classad, "parse_ad", lambda text: calls.append(text) or real_parse(text))
     registry = ResourceRegistry(static_dir=tmp_path)
     for _ in range(3):
-        assert registry.get("CE1") is not None
+        assert registry.snapshot().get("CE1") is not None
     assert len(calls) == 1
 
 
@@ -330,7 +330,7 @@ def test_a_touched_heartbeat_keeps_its_parse_and_gets_the_new_mtime(tmp_path, mo
     monkeypatch.setattr(classad, "parse_ad", lambda text: parsed.append(text) or real_parse(text))
     later = time.time_ns() + 5_000_000_000
     os.utime(path, ns=(later, later))
-    assert registry.get("CE1").last_update_ms == later // 1_000_000
+    assert registry.snapshot().get("CE1").last_update_ms == later // 1_000_000
     assert parsed == []
 
 

@@ -533,6 +533,37 @@ def test_restart_absorbs_run_for_finished_attempt(exec_spool):
     assert again.jobs == {}
 
 
+def test_the_zygote_replies_once_the_wrapper_has_its_group_and_pid_file(exec_spool, tmp_path):
+    zygote = executor_module.Zygote()
+    plan = descriptor(exec_spool, command=["/bin/sleep", "60"]).plan.as_dict()
+    try:
+        for i in range(10):
+            run_dir = tmp_path / f"run-{i}"
+            run_dir.mkdir()
+            (run_dir / "plan.json").write_text(json.dumps(plan))
+            proc = zygote.spawn(run_dir, run_dir / "plan.json", {})
+            try:
+                assert int((run_dir / "wrapper.pid").read_text()) == proc.pid
+                assert os.getpgid(proc.pid) == proc.pid
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:  # no group yet: the wrapper has started nothing
+                    os.kill(proc.pid, signal.SIGKILL)
+    finally:
+        zygote.close()
+
+
+def test_the_zygote_refuses_a_wrapper_whose_pid_file_it_cannot_write(tmp_path):
+    zygote = executor_module.Zygote()
+    try:
+        with pytest.raises(OSError, match="wrapper.pid not written"):
+            zygote.spawn(tmp_path / "missing", tmp_path / "missing" / "plan.json", {})
+        assert zygote.alive
+    finally:
+        zygote.close()
+
+
 def test_restart_aborts_attempt_whose_run_dir_exists_without_executing_record(exec_spool):
     service = make_service(exec_spool)
     handle = service.stage(descriptor(exec_spool, command=["/bin/sleep", "60"]))
@@ -756,7 +787,7 @@ def test_monitor_restartable_with_no_divergence(exec_spool):
 # -- the idle wait -----------------------------------------------------------------
 
 
-def test_a_freed_slot_is_refilled_without_waiting_out_the_idle_poll(exec_spool, tmp_path):
+def test_a_freed_slot_is_refilled_without_waiting_out_the_idle_poll(exec_spool, tmp_path, monkeypatch):
     one_slot = tmp_path / "one-slot"
     write_resource(one_slot, "CE1", Status="Production", FreeCPUs=1, TotalCPUs=1, Slots=1,
                    OwnerGroup="g", PricePerCpuSecond=1)
@@ -764,8 +795,9 @@ def test_a_freed_slot_is_refilled_without_waiting_out_the_idle_poll(exec_spool, 
     for i in range(3):
         desc = descriptor(exec_spool, job=f"job-{i}", command=["/bin/true"])
         service.queue.enqueue({"type": "run", "descriptor": desc.as_dict()})
+    monkeypatch.setattr(executor_module, "IDLE_POLL", 2.0)
     stop = threading.Event()
-    thread = threading.Thread(target=service.run_forever, args=(stop,), kwargs={"poll": 2.0})
+    thread = threading.Thread(target=service.run_forever, args=(stop,))
     started = time.monotonic()
     thread.start()
     try:

@@ -6,30 +6,27 @@ from __future__ import annotations
 import base64
 import json
 import os
+import threading
 import time
 from collections import Counter
 
 import pytest
 
+from gridwms import aggregate
+from gridwms import bookkeeping as bookkeeping_module
 from gridwms import broker as broker_module
 from gridwms import jdl as jdl_module
 from gridwms import manager as manager_module
 from gridwms.accounting import Ledger
-from gridwms.bookkeeping import BookkeepingStore, Event, JobState, Query, QueryPredicate
+from gridwms.bookkeeping import BookkeepingStore, Event, JobState, NoSuchStateError, Query, QueryPredicate
 from gridwms.executor import ExecutorService
 from gridwms.filequeue import ACK, FileQueue
-from gridwms.gateway import GatewayCore
+from gridwms.gateway import GatewayCore, GatewayServer
 from gridwms.jdl import ValidationError, validate_job
 from gridwms.layout import SpoolLayout
 from gridwms.logmonitor import LogMonitor
-from gridwms.manager import MissingSandboxFileError, WorkloadManager
-from gridwms.partition import (
-    SubJobIncompleteError,
-    merge_pairs,
-    merge_states,
-    partition_job,
-    step_ranges,
-)
+from gridwms.manager import MAX_ATTEMPTS, MissingSandboxFileError, WorkloadManager
+from gridwms.partition import merge_pairs, partition_job, step_ranges
 from gridwms.submission import SubmissionDescriptor
 from gridwms.util import now_ms
 
@@ -119,24 +116,37 @@ def test_merge_pairs_namespaces_deterministically():
     assert merged == [("n0.step", "3"), ("n0.sum", "6"), ("n1.sum", "15")]
 
 
-def test_merge_states_requires_complete_subjobs(wm_spool):
+@pytest.fixture
+def gateway(wm_spool, monkeypatch):
+    """A gateway over the spool, named by WMS_GATEWAY, with alice as the user."""
+    server = GatewayServer(GatewayCore(wm_spool), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    monkeypatch.setenv("WMS_GATEWAY", "%s:%d" % server.address)
+    monkeypatch.setenv("WMS_USER", "alice")
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def test_aggregate_merges_only_complete_subjobs(wm_spool, gateway, monkeypatch, capsys):
     store = BookkeepingStore(wm_spool.lb_root)
-    for job, done in (("d.n0", True), ("d.n1", False)):
-        store.log_event(Event(job, "WM", 16, now_ms(), "Registered", {"jdl": "[ ]", "owner": "a"}))
-        store.log_event(Event(job, "WM", 19, now_ms(), "UserTag",
-                              {"name": "node", "value": job.split(".")[1]}))
-        if done:
-            store.log_event(Event(job, "LogMonitor", 1, now_ms(), "Done", {"exitCode": "0"}))
-            store.save_state(job, [("sum", "6")])
-    with pytest.raises(SubJobIncompleteError) as err:
-        merge_states(store, ["d.n0", "d.n1"])
-    assert "n1" in str(err.value)
+    for job in ("d.n0", "d.n1", "d.aggregator"):
+        store.log_event(Event(job, "WM", 16, now_ms(), "Registered", {"jdl": "[ ]", "owner": "alice"}))
+    store.log_event(Event("d.n0", "LogMonitor", 1, now_ms(), "Done", {"exitCode": "0"}))
+    store.save_state("d.n0", [("sum", "6")])
+    monkeypatch.setenv("WMS_JOB_ID", "d.aggregator")
+    monkeypatch.setenv("WMS_AGGREGATE", "n0=d.n0,n1=d.n1")
+    assert aggregate.main() == 1
+    assert "sub-job n1 is SUBMITTED" in capsys.readouterr().err
     store.log_event(Event("d.n1", "LogMonitor", 1, now_ms(), "Done", {"exitCode": "0"}))
-    with pytest.raises(SubJobIncompleteError) as err:
-        merge_states(store, ["d.n0", "d.n1"])
-    assert "no saved state" in str(err.value)
+    assert aggregate.main() == 1
+    assert "a sub-job saved no state" in capsys.readouterr().err
+    with pytest.raises(NoSuchStateError):
+        store.get_state("d.aggregator")  # nothing merged while a sub-job is incomplete
     store.save_state("d.n1", [("sum", "15")])
-    assert merge_states(store, ["d.n0", "d.n1"]) == [("n0.sum", "6"), ("n1.sum", "15")]
+    assert aggregate.main() == 0
+    assert store.get_state("d.aggregator") == [("n0.sum", "6"), ("n1.sum", "15")]
 
 
 # -- job adaptation -------------------------------------------------------------------
@@ -243,7 +253,7 @@ def test_submit_unmatchable_aborts_with_reason(manager):
 def test_malformed_request_dead_letters_with_refused(manager):
     register(manager, "j12", "[ this is not jdl")
     manager.requests.enqueue({"kind": "submit", "job": "j12"})
-    for _ in range(manager.max_attempts + 1):
+    for _ in range(MAX_ATTEMPTS + 1):
         manager.process_requests()
     assert manager.requests.pending_count() == 0
     dead = list(manager.spool.dead_letter.iterdir())
@@ -256,7 +266,7 @@ def test_malformed_request_dead_letters_with_refused(manager):
 def test_dead_letter_is_durable_before_the_request_is_acked(manager, monkeypatch):
     register(manager, "j-dl", "[ this is not jdl")
     manager.requests.enqueue({"kind": "submit", "job": "j-dl"})
-    for _ in range(manager.max_attempts - 1):
+    for _ in range(MAX_ATTEMPTS - 1):
         manager.handle_request(manager.requests.claim(manager.owner))  # nacked
     item = manager.requests.claim(manager.owner)
     ops = []
@@ -291,7 +301,7 @@ def test_submit_to_a_storage_element_is_refused_not_retried(wm_spool):
     executor = ExecutorService(wm_spool, fake_cpu_seconds=0.1)
     monitor = LogMonitor(wm_spool)
     job = core.dispatch("submit", "alice", {"jdl": '[ Executable = "/bin/true"; SubmitTo = "SE1"; ]'})["job"]
-    for _ in range(2 * manager.max_attempts):
+    for _ in range(2 * MAX_ATTEMPTS):
         manager.process_requests()
         executor.tick()
         monitor.tick()
@@ -394,7 +404,7 @@ def test_requests_in_a_row_fill_the_ces_by_their_slots(three_ces, monkeypatch):
         register(manager, f"j{i}", '[ Executable = "/x"; ]')
         manager.requests.enqueue({"kind": "submit", "job": f"j{i}"})
     snapshots = counted(monkeypatch, manager.registry, "snapshot")
-    assert manager.process_requests(batch=8) == 8
+    assert manager.process_requests() == 8
     assert len(snapshots) == 1  # the batch shares one
     placed = Counter(manager.lb.job_record(f"j{i}").destination for i in range(8))
     assert placed == {"CE1": 3, "CE2": 3, "CE3": 2}
@@ -858,6 +868,24 @@ def test_dag_lazy_binding_sees_registry_changes(manager, wm_spool):
     manager.dag_scan(manager.lb.records())
     manager.process_requests()
     assert manager.lb.job_record("dag4.b").destination == "CE2"  # matched on the new snapshot
+
+
+def test_a_dag_node_registers_in_one_append(manager, monkeypatch):
+    register(manager, "dag7", '[ Type = "DAG"; Nodes = [ A = [ Executable = "/bin/true"; '
+                              'UserTags = [ lane = "l1"; run = "r1" ]; ]; ]; ]')
+    appends: Counter = Counter()
+    real_append = bookkeeping_module.append_locked
+
+    def counted(fd, size, text):
+        appends[json.loads(text.split("\n")[0])["job"]] += 1
+        return real_append(fd, size, text)
+
+    monkeypatch.setattr(bookkeeping_module, "append_locked", counted)
+    manager.dag_scan(manager.lb.records())
+    assert appends["dag7.a"] == 1
+    record = manager.lb.job_record("dag7.a")
+    assert [e.kind for e in record.events] == ["Registered", "Accepted"] + ["UserTag"] * 4
+    assert record.user_tags == {"dag": "dag7", "node": "a", "lane": "l1", "run": "r1"}
 
 
 def test_dag_aggregator_env_mapping(manager):
